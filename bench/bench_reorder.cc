@@ -129,9 +129,9 @@ ModeRun RunMode(const Workload& workload, DiffOptions::ReorderMode mode) {
   ModeRun run;
   run.seconds = std::chrono::duration<double>(t1 - t0).count();
   run.report = report.Render();
-  for (const auto& [name, value] :
+  for (const campion::obs::MetricSample& sample :
        campion::obs::ProcessMetrics().Snapshot()) {
-    if (name == "bdd.arena_nodes") run.arena_nodes = value;
+    if (sample.name == "bdd.arena_nodes") run.arena_nodes = sample.value;
   }
   campion::obs::ProcessMetrics().Reset();
   return run;

@@ -108,11 +108,10 @@ inline void RecordTracedRun(Fn&& fn) {
     metrics.Record("phase_" + phase.name + "_seconds",
                    static_cast<double>(phase.total_ns) / 1e9);
   }
-  for (const auto& [name, value] :
-       obs::ProcessMetrics().Snapshot()) {
-    std::string flat = name;
+  for (const obs::MetricSample& sample : obs::ProcessMetrics().Snapshot()) {
+    std::string flat = sample.name;
     std::replace(flat.begin(), flat.end(), '.', '_');
-    metrics.Record("obs_" + flat, value);
+    metrics.Record("obs_" + flat, sample.value);
   }
   // Peak-memory fields for the BENCH_*.json trajectory: the process
   // high-water RSS after the traced workload (zero on platforms without

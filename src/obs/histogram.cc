@@ -1,6 +1,7 @@
 #include "obs/histogram.h"
 
 #include <cmath>
+#include <utility>
 
 namespace campion::obs {
 
@@ -93,6 +94,34 @@ std::uint64_t HistogramSnapshot::QuantileNs(double q) const {
     }
   }
   return 0;  // Unreachable: cumulative == count covers rank <= count.
+}
+
+LatencyFamily::LatencyFamily(std::string text_prefix,
+                             std::string prometheus_name,
+                             std::string label_key,
+                             std::vector<std::string> labels)
+    : text_prefix(std::move(text_prefix)),
+      prometheus_name(std::move(prometheus_name)),
+      label_key(std::move(label_key)),
+      labels(std::move(labels)),
+      histograms_(new LatencyHistogram[this->labels.size()]) {}
+
+void LatencyFamily::Record(std::string_view label, std::uint64_t ns) {
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] == label) {
+      histograms_[i].Record(ns);
+      return;
+    }
+  }
+}
+
+LatencyFamilySnapshot LatencyFamily::Snapshot() const {
+  LatencyFamilySnapshot snapshot{this, {}};
+  snapshot.histograms.reserve(labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    snapshot.histograms.push_back(histograms_[i].Snapshot());
+  }
+  return snapshot;
 }
 
 }  // namespace campion::obs

@@ -23,6 +23,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace campion::obs {
 
@@ -83,6 +87,43 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBucketCount> counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_ns_{0};
+};
+
+class LatencyFamily;
+
+// A point-in-time copy of a LatencyFamily: one snapshot per label, in
+// declaration order. Valid while the family lives.
+struct LatencyFamilySnapshot {
+  const LatencyFamily* family = nullptr;
+  std::vector<HistogramSnapshot> histograms;
+};
+
+// A fixed set of latency histograms declared once — text prefix,
+// Prometheus family name, label key, label values — so that both /metrics
+// formats render from that one declaration (obs/trace_report.h). Text
+// names each histogram "<text_prefix>.<label>"; Prometheus names the
+// family `prometheus_name`, labeled `label_key="<label>"`, or unlabeled
+// when `label_key` is empty. Record() stays wait-free and allocation-free:
+// a scan of the few labels, then one LatencyHistogram::Record.
+class LatencyFamily {
+ public:
+  LatencyFamily(std::string text_prefix, std::string prometheus_name,
+                std::string label_key, std::vector<std::string> labels);
+  LatencyFamily(const LatencyFamily&) = delete;  // Snapshots point here.
+  LatencyFamily& operator=(const LatencyFamily&) = delete;
+
+  // Records into `label`'s histogram; a label outside the set is dropped.
+  void Record(std::string_view label, std::uint64_t ns);
+
+  LatencyFamilySnapshot Snapshot() const;
+
+  const std::string text_prefix;
+  const std::string prometheus_name;
+  const std::string label_key;
+  const std::vector<std::string> labels;
+
+ private:
+  std::unique_ptr<LatencyHistogram[]> histograms_;
 };
 
 }  // namespace campion::obs

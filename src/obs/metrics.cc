@@ -12,20 +12,41 @@ thread_local MetricsSink* t_current_sink = nullptr;
 
 }  // namespace
 
+void MetricsSink::FoldLocked(const std::string& name, double value,
+                             MetricKind kind) {
+  auto [it, inserted] = values_.try_emplace(name, value, kind);
+  if (inserted) return;
+  auto& [slot, slot_kind] = it->second;
+  slot = slot_kind == MetricKind::kCounter ? slot + value
+                                           : std::max(slot, value);
+}
+
 void MetricsSink::Add(const std::string& name, double delta) {
   std::lock_guard<std::mutex> lock(mutex_);
-  values_[name] += delta;
+  FoldLocked(name, delta, MetricKind::kCounter);
 }
 
 void MetricsSink::Max(const std::string& name, double value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = values_.emplace(name, value);
-  if (!inserted) it->second = std::max(it->second, value);
+  FoldLocked(name, value, MetricKind::kGauge);
 }
 
-std::vector<std::pair<std::string, double>> MetricsSink::Snapshot() const {
+void MetricsSink::Merge(const std::vector<MetricSample>& samples) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {values_.begin(), values_.end()};  // std::map is already name-sorted.
+  for (const MetricSample& sample : samples) {
+    FoldLocked(sample.name, sample.value, sample.kind);
+  }
+}
+
+std::vector<MetricSample> MetricsSink::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<MetricSample> samples;
+  samples.reserve(values_.size());
+  // std::map is already name-sorted.
+  for (const auto& [name, entry] : values_) {
+    samples.push_back({name, entry.first, entry.second});
+  }
+  return samples;
 }
 
 void MetricsSink::Reset() {

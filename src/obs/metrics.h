@@ -1,10 +1,14 @@
 #pragma once
 
 // Named numeric metrics, the companion to the span tree in obs/trace.h.
-// Counters accumulate deltas and watermarks keep maxima — both are
-// order-independent, so concurrent updates from the worker pool produce
-// the same snapshot regardless of scheduling, keeping `--trace_out`
-// deterministic in everything but the timing values.
+// Each metric's kind is fixed where it is recorded: Add makes a counter
+// (deltas accumulate), Max makes a gauge (a watermark keeping the
+// maximum). Both folds are order-independent, so concurrent updates from
+// the worker pool produce the same snapshot regardless of scheduling,
+// keeping `--trace_out` deterministic in everything but the timing
+// values. Snapshots carry the kind, so a long-lived consumer (the
+// daemon's cumulative totals) Merges them by the same rule without
+// guessing a metric's type from its name.
 //
 // Capture is SCOPED, not process-global: a MetricsSink is a plain
 // container, and every recording helper routes through the calling
@@ -37,10 +41,17 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace campion::obs {
+
+enum class MetricKind { kCounter, kGauge };
+
+struct MetricSample {
+  std::string name;
+  double value = 0.0;
+  MetricKind kind = MetricKind::kCounter;
+};
 
 // One metrics arena. The mutex covers concurrent updates from a request's
 // *internal* worker pool; distinct sinks share nothing.
@@ -52,17 +63,22 @@ class MetricsSink {
 
   // Adds `delta` to the named counter (creating it at zero).
   void Add(const std::string& name, double delta);
-  // Raises the named watermark to at least `value`.
+  // Raises the named gauge to at least `value`.
   void Max(const std::string& name, double value);
+  // Folds each sample by its kind: counters add, gauges keep the maximum.
+  void Merge(const std::vector<MetricSample>& samples);
 
-  // All metrics, sorted by name.
-  std::vector<std::pair<std::string, double>> Snapshot() const;
+  // All metrics, sorted by name. A name keeps the kind of its first
+  // record.
+  std::vector<MetricSample> Snapshot() const;
 
   void Reset();
 
  private:
+  void FoldLocked(const std::string& name, double value, MetricKind kind);
+
   mutable std::mutex mutex_;
-  std::map<std::string, double> values_;
+  std::map<std::string, std::pair<double, MetricKind>> values_;
 };
 
 // The process-default sink: what records when no MetricsScope is

@@ -72,12 +72,63 @@ std::string Milliseconds(std::uint64_t ns) {
 std::string MetricValue(double value) { return util::JsonNumber(value); }
 
 // Looks up a metric by name; returns 0 when absent.
-double Metric(const std::vector<std::pair<std::string, double>>& metrics,
+double Metric(const std::vector<MetricSample>& metrics,
               const std::string& name) {
-  for (const auto& [key, value] : metrics) {
-    if (key == name) return value;
+  for (const MetricSample& sample : metrics) {
+    if (sample.name == name) return sample.value;
   }
   return 0.0;
+}
+
+// The `{"name": value, ...}` object closing both trace documents.
+void AppendMetricsObject(const std::vector<MetricSample>& metrics,
+                         std::string& out) {
+  out += "{";
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    out += i == 0 ? "\n" : ",\n";
+    out += "    " + Quoted(metrics[i].name) + ": " +
+           util::JsonNumber(metrics[i].value);
+  }
+  out += metrics.empty() ? "}\n" : "\n  }\n";
+  out += "}\n";
+}
+
+// Prometheus metric-name charset: [a-zA-Z_:][a-zA-Z0-9_:]*. The repo's
+// dotted names map by '.' -> '_' (everything else in use is already
+// legal); the exposition prefixes "campion_".
+std::string PrometheusName(const std::string& name) {
+  std::string out = "campion_";
+  for (char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_';
+    out += ok ? c : '_';
+  }
+  return out;
+}
+
+// One histogram in Prometheus text format: cumulative _bucket lines for the
+// non-empty buckets (plus +Inf), then _sum and _count. `label` is one
+// 'key="value"' pair or empty; it rides in front of le, so a grep for
+// `_bucket{le=` selects exactly the unlabeled families.
+void AppendPrometheusHistogram(const std::string& name,
+                               const std::string& label,
+                               const HistogramSnapshot& snapshot,
+                               std::string& out) {
+  const std::string le_open = label.empty() ? "{le=\"" : "{" + label + ",le=\"";
+  const std::string plain = label.empty() ? "" : "{" + label + "}";
+  std::uint64_t cumulative = 0;
+  for (int i = 0; i < HistogramSnapshot::kBucketCount; ++i) {
+    const std::uint64_t bucket = snapshot.counts[static_cast<std::size_t>(i)];
+    if (bucket == 0) continue;
+    cumulative += bucket;
+    out += name + "_bucket" + le_open +
+           std::to_string(LatencyHistogram::BucketUpperNs(i)) + "\"} " +
+           std::to_string(cumulative) + "\n";
+  }
+  out += name + "_bucket" + le_open + "+Inf\"} " +
+         std::to_string(snapshot.count) + "\n";
+  out += name + "_sum" + plain + " " + std::to_string(snapshot.sum_ns) + "\n";
+  out += name + "_count" + plain + " " + std::to_string(snapshot.count) + "\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +186,7 @@ void StructureLines(const Span& span, int depth, std::string& out) {
 
 std::string TraceToJson(
     const std::vector<Span>& roots,
-    const std::vector<std::pair<std::string, double>>& metrics) {
+    const std::vector<MetricSample>& metrics) {
   std::string out = "{\n";
   out += "  \"campion_trace_version\": 1,\n";
   out += "  \"spans\": [";
@@ -144,20 +195,14 @@ std::string TraceToJson(
     SpanToJson(roots[i], 4, out);
   }
   out += roots.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"metrics\": {";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + Quoted(metrics[i].first) + ": " +
-           util::JsonNumber(metrics[i].second);
-  }
-  out += metrics.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
+  out += "  \"metrics\": ";
+  AppendMetricsObject(metrics, out);
   return out;
 }
 
 std::string TraceToChromeJson(
     const std::vector<Span>& roots,
-    const std::vector<std::pair<std::string, double>>& metrics) {
+    const std::vector<MetricSample>& metrics) {
   std::vector<ChromeEvent> events;
   int next_worker_tid = 1;  // 0 is the main lane.
   for (const Span& root : roots) {
@@ -204,14 +249,8 @@ std::string TraceToChromeJson(
     out += i + 1 < events.size() ? ",\n" : "\n";
   }
   out += "  ],\n";
-  out += "  \"otherData\": {";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + Quoted(metrics[i].first) + ": " +
-           util::JsonNumber(metrics[i].second);
-  }
-  out += metrics.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
+  out += "  \"otherData\": ";
+  AppendMetricsObject(metrics, out);
   return out;
 }
 
@@ -223,7 +262,7 @@ std::vector<PhaseTotal> PhaseTotals(const std::vector<Span>& roots) {
 
 std::string RenderStatsSummary(
     const std::vector<Span>& roots,
-    const std::vector<std::pair<std::string, double>>& metrics) {
+    const std::vector<MetricSample>& metrics) {
   std::string out = "Phase timings (wall clock, aggregated by span name):\n";
   util::TextTable phases({"Phase", "Count", "Total (ms)", "Self (ms)"});
   for (const PhaseTotal& total : PhaseTotals(roots)) {
@@ -234,8 +273,8 @@ std::string RenderStatsSummary(
   out += phases.Render();
 
   util::TextTable table({"Metric", "Value"});
-  for (const auto& [name, value] : metrics) {
-    table.AddRow({name, MetricValue(value)});
+  for (const MetricSample& sample : metrics) {
+    table.AddRow({sample.name, MetricValue(sample.value)});
   }
   // Derived BDD rates, when the raw counters were collected.
   double cache_lookups = Metric(metrics, "bdd.cache_lookups");
@@ -263,6 +302,55 @@ std::string RenderStatsSummary(
 std::string TraceStructure(const std::vector<Span>& roots) {
   std::string out;
   for (const Span& root : roots) StructureLines(root, 0, out);
+  return out;
+}
+
+std::string RenderMetricsText(const MetricsSnapshot& snapshot) {
+  std::vector<std::string> lines;
+  for (const MetricSample& sample : snapshot.samples) {
+    lines.push_back(sample.name + " " + util::JsonNumber(sample.value));
+  }
+  // Quantile bounds are inclusive bucket upper bounds, within 25% of the
+  // true rank value (obs/histogram.h).
+  for (const LatencyFamilySnapshot& latency : snapshot.latencies) {
+    for (std::size_t i = 0; i < latency.histograms.size(); ++i) {
+      const HistogramSnapshot& h = latency.histograms[i];
+      const std::string prefix =
+          latency.family->text_prefix + "." + latency.family->labels[i];
+      lines.push_back(prefix + ".count " + std::to_string(h.count));
+      lines.push_back(prefix + ".mean_ns " +
+                      std::to_string(static_cast<std::uint64_t>(h.MeanNs())));
+      lines.push_back(prefix + ".p50_ns " + std::to_string(h.QuantileNs(0.50)));
+      lines.push_back(prefix + ".p95_ns " + std::to_string(h.QuantileNs(0.95)));
+      lines.push_back(prefix + ".p99_ns " + std::to_string(h.QuantileNs(0.99)));
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+std::string RenderMetricsPrometheus(const MetricsSnapshot& snapshot) {
+  std::string out;
+  for (const MetricSample& sample : snapshot.samples) {
+    const std::string name = PrometheusName(sample.name);
+    out += "# TYPE " + name +
+           (sample.kind == MetricKind::kGauge ? " gauge\n" : " counter\n");
+    out += name + " " + util::JsonNumber(sample.value) + "\n";
+  }
+  for (const LatencyFamilySnapshot& latency : snapshot.latencies) {
+    const LatencyFamily& family = *latency.family;
+    out += "# TYPE " + family.prometheus_name + " histogram\n";
+    for (std::size_t i = 0; i < latency.histograms.size(); ++i) {
+      AppendPrometheusHistogram(
+          family.prometheus_name,
+          family.label_key.empty()
+              ? ""
+              : family.label_key + "=\"" + family.labels[i] + "\"",
+          latency.histograms[i], out);
+    }
+  }
   return out;
 }
 

@@ -2,13 +2,15 @@
 
 // Rendering of collected traces: the machine-readable JSON document behind
 // `--trace_out` (schema in docs/trace_format.md), the human-readable
-// summary tables behind `--stats`, and the per-phase aggregations the
-// bench binaries record into BENCH_*.json.
+// summary tables behind `--stats`, the per-phase aggregations the bench
+// binaries record into BENCH_*.json, and the two /metrics expositions of
+// the campion_serve daemon.
 
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace campion::obs {
@@ -17,7 +19,7 @@ namespace campion::obs {
 // document documented in docs/trace_format.md.
 std::string TraceToJson(
     const std::vector<Span>& roots,
-    const std::vector<std::pair<std::string, double>>& metrics);
+    const std::vector<MetricSample>& metrics);
 
 // Serializes the same forest as Chrome Trace Event JSON (complete "X"
 // events, microsecond timestamps) loadable in Perfetto or chrome://tracing.
@@ -30,7 +32,7 @@ std::string TraceToJson(
 // mapping.
 std::string TraceToChromeJson(
     const std::vector<Span>& roots,
-    const std::vector<std::pair<std::string, double>>& metrics);
+    const std::vector<MetricSample>& metrics);
 
 // Totals aggregated per span name across the whole forest, every depth
 // included, in first-appearance order (deterministic for a deterministic
@@ -48,12 +50,30 @@ std::vector<PhaseTotal> PhaseTotals(const std::vector<Span>& roots);
 // underlying counters are present.
 std::string RenderStatsSummary(
     const std::vector<Span>& roots,
-    const std::vector<std::pair<std::string, double>>& metrics);
+    const std::vector<MetricSample>& metrics);
 
 // Structure-only view of the forest (names, details, nesting — no timings
 // or attrs): one span per line, two-space indentation per level. This is
 // the part of a trace that is guaranteed byte-identical across
 // `--threads` values; the determinism tests compare it.
 std::string TraceStructure(const std::vector<Span>& roots);
+
+// One /metrics scrape: typed samples plus latency families. The two
+// renderers below are the only place either exposition format is spelled
+// out; docs/trace_format.md names every family they can emit.
+struct MetricsSnapshot {
+  std::vector<MetricSample> samples;
+  std::vector<LatencyFamilySnapshot> latencies;
+};
+
+// `name value` lines plus a `.count/.mean_ns/.p50_ns/.p95_ns/.p99_ns`
+// block per histogram, all sorted by name.
+std::string RenderMetricsText(const MetricsSnapshot& snapshot);
+
+// Prometheus text exposition 0.0.4: names gain a `campion_` prefix with
+// dots as underscores, samples are typed by their kind, and each latency
+// family is one histogram family with cumulative `_bucket{le=}` series
+// (non-empty buckets plus +Inf), `_sum`, and `_count`.
+std::string RenderMetricsPrometheus(const MetricsSnapshot& snapshot);
 
 }  // namespace campion::obs

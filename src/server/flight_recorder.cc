@@ -21,12 +21,12 @@ std::string KeyHashHex(std::uint64_t hash) {
 void AppendSummary(std::ostringstream& out, const FlightRecord& record) {
   out << "{\"id\":" << record.id << ",\"endpoint\":\""
       << util::JsonEscape(record.endpoint) << "\",\"status\":" << record.status
-      << ",\"wall_ns\":" << record.wall_ns
-      << ",\"phases\":{\"parse_ns\":" << record.parse_ns
-      << ",\"template_ns\":" << record.template_ns
-      << ",\"diff_ns\":" << record.diff_ns
-      << ",\"render_ns\":" << record.render_ns << '}'
-      << ",\"cache\":\"" << util::JsonEscape(record.cache) << '"';
+      << ",\"wall_ns\":" << record.wall_ns << ",\"phases\":{";
+  for (std::size_t i = 0; i < kPhases.size(); ++i) {
+    out << (i == 0 ? "\"" : ",\"") << kPhases[i].first
+        << "_ns\":" << record.phase_ns[i];
+  }
+  out << "},\"cache\":\"" << util::JsonEscape(record.cache) << '"';
   if (record.template_key_hash != 0) {
     out << ",\"template_key\":\"" << KeyHashHex(record.template_key_hash)
         << '"';
@@ -56,7 +56,7 @@ void FlightRecorder::Record(FlightRecord record) {
   record.id = next_id_++;
   if (record.spans.size() > 0 && options_.span_slots == 0) {
     std::vector<obs::Span>().swap(record.spans);
-    std::vector<std::pair<std::string, double>>().swap(record.metrics);
+    std::vector<obs::MetricSample>().swap(record.metrics);
   }
   ring_.push_back(std::move(record));
   while (ring_.size() > options_.entries) ring_.pop_front();
@@ -74,7 +74,7 @@ void FlightRecorder::Record(FlightRecord record) {
       if (fastest == nullptr || r.wall_ns < fastest->wall_ns) fastest = &r;
     }
     std::vector<obs::Span>().swap(fastest->spans);
-    std::vector<std::pair<std::string, double>>().swap(fastest->metrics);
+    std::vector<obs::MetricSample>().swap(fastest->metrics);
     --holding;
   }
 }

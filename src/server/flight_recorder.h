@@ -10,6 +10,7 @@
 // renders the ring newest-first; `GET /debug/requests/<id>` renders one
 // entry with its trace when retained.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -18,21 +19,31 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace campion::server {
+
+// The pipeline phases of one diff execution, as {label, span}: the label
+// keys the flight recorder's `phases` object ("<label>_ns") and the
+// server.phase.<label>.* histograms; the phase time is the summed
+// duration of the named span in the request's tree (obs::PhaseTotals).
+// `template_fetch` and `render` are daemon-only spans.
+inline constexpr std::array<std::pair<const char*, const char*>, 4> kPhases{{
+    {"parse", "parse"},
+    {"template", "template_fetch"},
+    {"diff", "config_diff"},
+    {"render", "render"},
+}};
 
 struct FlightRecord {
   std::uint64_t id = 0;        // Assigned by the recorder, monotone from 1.
   std::string endpoint;        // "/diff" or "/sessions/<name>/diff".
   int status = 0;              // HTTP status of the response.
   std::uint64_t wall_ns = 0;   // Whole RunDiff wall time.
-  // Fixed pipeline phases, zero when skipped (e.g. template_ns on a
+  // Per kPhases entry, zero when the phase did not run (e.g. template on a
   // cache-ineligible request, everything after parse on a 422).
-  std::uint64_t parse_ns = 0;
-  std::uint64_t template_ns = 0;
-  std::uint64_t diff_ns = 0;
-  std::uint64_t render_ns = 0;
+  std::array<std::uint64_t, kPhases.size()> phase_ns{};
   std::string cache;           // Template cache: "hit", "miss", or "off".
   std::uint64_t template_key_hash = 0;  // FNV-1a of the cache key; 0 = off.
   // Result cache: "hit", "miss", "bypass" (obs envelope requested), or
@@ -44,7 +55,7 @@ struct FlightRecord {
   std::size_t differences = 0;
   // Retained only while this record is among the K slowest in the ring.
   std::vector<obs::Span> spans;
-  std::vector<std::pair<std::string, double>> metrics;
+  std::vector<obs::MetricSample> metrics;
 };
 
 class FlightRecorder {

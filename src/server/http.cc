@@ -224,11 +224,12 @@ bool HttpServer::Start(std::string* error) {
 void HttpServer::Stop() {
   if (!running_) return;
   stopping_ = true;
-  // Closing the listening socket unblocks the acceptor's accept().
+  // shutdown() unblocks the acceptor's accept(); the descriptor is closed
+  // and reset only after the acceptor, its last reader, has exited.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (acceptor_.joinable()) acceptor_.join();
   workers_.reset();  // Drains and joins the connection workers.
   running_ = false;
 }

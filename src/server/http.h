@@ -10,7 +10,7 @@
 // daemon's API needs — no chunked transfer, no TLS, no compression; put a
 // real reverse proxy in front for anything internet-facing.
 //
-// Shutdown is graceful: Stop() closes the listening socket (unblocking the
+// Shutdown is graceful: Stop() shuts the listening socket down (unblocking the
 // acceptor), marks the server stopping so keep-alive loops finish their
 // in-flight request and exit, and drains the worker pool. The SIGTERM
 // handler in campion_serve_main.cc funnels into Stop(), which is what the

@@ -41,9 +41,20 @@ ir::Vendor ParseVendor(const std::string& value) {
   return ir::Vendor::kUnknown;
 }
 
+constexpr char kVendorError[] = "vendor must be auto, cisco, or juniper";
+
 bool ValidVendor(const std::string& value) {
   return value.empty() || value == "auto" || value == "cisco" ||
          value == "juniper";
+}
+
+// A JSON field's text, or null when the field is absent (or, with
+// `string_only`, not a string).
+const std::string* FieldText(const util::JsonValue& object, const char* key,
+                             bool string_only = false) {
+  const util::JsonValue* value = object.Find(key);
+  if (value == nullptr || (string_only && !value->IsString())) return nullptr;
+  return &value->string;
 }
 
 // Same grammar as the CLI's --checks flag; false on an unknown item.
@@ -96,60 +107,16 @@ bool ValidSessionName(const std::string& name) {
   return true;
 }
 
-// Watermark-style obs metrics keep their max across requests when folded
-// into the daemon totals; everything else is a counter and sums.
-bool IsWatermarkMetric(const std::string& name) {
-  return name.find("peak") != std::string::npos ||
-         name.find("load_factor") != std::string::npos ||
-         name.find("resident_bytes") != std::string::npos;
-}
-
-// Prometheus metric-name charset: [a-zA-Z_:][a-zA-Z0-9_:]*. The repo's
-// dotted names map by '.' -> '_' (everything else in use is already
-// legal); the exposition prefixes "campion_".
-std::string PrometheusName(const std::string& name) {
-  std::string out = "campion_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-// One histogram family in Prometheus text format: cumulative _bucket
-// lines for the non-empty buckets (plus +Inf), then _sum and _count.
-// `label` is one 'key="value"' pair or empty; it rides in front of le, so
-// a grep for `_bucket{le=` selects exactly the unlabeled aggregate family.
-void AppendPrometheusHistogram(std::ostringstream& out,
-                               const std::string& name,
-                               const std::string& label,
-                               const obs::HistogramSnapshot& snapshot) {
-  const std::string le_open = label.empty() ? "{le=\"" : "{" + label + ",le=\"";
-  const std::string plain = label.empty() ? "" : "{" + label + "}";
-  std::uint64_t cumulative = 0;
-  for (int i = 0; i < obs::HistogramSnapshot::kBucketCount; ++i) {
-    const std::uint64_t bucket = snapshot.counts[static_cast<std::size_t>(i)];
-    if (bucket == 0) continue;
-    cumulative += bucket;
-    out << name << "_bucket" << le_open
-        << obs::LatencyHistogram::BucketUpperNs(i) << "\"} " << cumulative
-        << '\n';
-  }
-  out << name << "_bucket" << le_open << "+Inf\"} " << snapshot.count << '\n';
-  out << name << "_sum" << plain << ' ' << snapshot.sum_ns << '\n';
-  out << name << "_count" << plain << ' ' << snapshot.count << '\n';
-}
-
-// The plain-text quantile block for one histogram family.
-void AppendTextQuantiles(std::ostringstream& out, const std::string& prefix,
-                         const obs::HistogramSnapshot& snapshot) {
-  out << prefix << ".count " << snapshot.count << '\n';
-  out << prefix << ".mean_ns "
-      << static_cast<std::uint64_t>(snapshot.MeanNs()) << '\n';
-  out << prefix << ".p50_ns " << snapshot.QuantileNs(0.50) << '\n';
-  out << prefix << ".p95_ns " << snapshot.QuantileNs(0.95) << '\n';
-  out << prefix << ".p99_ns " << snapshot.QuantileNs(0.99) << '\n';
+// The endpoint_latency_ label of a request path.
+const char* EndpointLabel(const std::string& path) {
+  const bool session = path == "/sessions" || path.rfind("/sessions/", 0) == 0;
+  if (path == "/healthz") return "healthz";
+  if (path == "/metrics") return "metrics";
+  if (path == "/batch") return "batch";
+  if (path == "/diff" || (session && path.ends_with("/diff"))) return "diff";
+  if (session) return "sessions";
+  if (path.rfind("/debug/", 0) == 0) return "debug";
+  return "other";
 }
 
 std::string KeyHashHex(std::uint64_t hash) {
@@ -208,6 +175,11 @@ DiffService::DiffService(ServiceOptions options)
         flight_options.entries = options_.flight_recorder_entries;
         flight_options.span_slots = options_.flight_recorder_spans;
         return flight_options;
+      }()),
+      phase_latency_("server.phase", "campion_phase_duration_ns", "phase", [] {
+        std::vector<std::string> labels;
+        for (const auto& [label, span] : kPhases) labels.push_back(label);
+        return labels;
       }()) {
   // Tracing stays on for the daemon's lifetime. Toggling it per request —
   // what the serialized pipeline used to do — is a race once requests run
@@ -221,27 +193,8 @@ HttpResponse DiffService::Handle(const HttpRequest& request) {
   const std::uint64_t start_ns = obs::NowNs();
   HttpResponse response = Dispatch(request);
   const std::uint64_t wall_ns = obs::NowNs() - start_ns;
-  endpoint_latency_.request.Record(wall_ns);
-  if (request.path == "/healthz") {
-    endpoint_latency_.healthz.Record(wall_ns);
-  } else if (request.path == "/metrics") {
-    endpoint_latency_.metrics.Record(wall_ns);
-  } else if (request.path == "/batch") {
-    endpoint_latency_.batch.Record(wall_ns);
-  } else if (request.path == "/diff" ||
-             (request.path.rfind("/sessions/", 0) == 0 &&
-              request.path.size() >= 5 &&
-              request.path.compare(request.path.size() - 5, 5, "/diff") ==
-                  0)) {
-    endpoint_latency_.diff.Record(wall_ns);
-  } else if (request.path == "/sessions" ||
-             request.path.rfind("/sessions/", 0) == 0) {
-    endpoint_latency_.sessions.Record(wall_ns);
-  } else if (request.path.rfind("/debug/", 0) == 0) {
-    endpoint_latency_.debug.Record(wall_ns);
-  } else {
-    endpoint_latency_.other.Record(wall_ns);
-  }
+  request_latency_.Record("request", wall_ns);
+  endpoint_latency_.Record(EndpointLabel(request.path), wall_ns);
   return response;
 }
 
@@ -271,89 +224,103 @@ HttpResponse DiffService::Dispatch(const HttpRequest& request) {
   if (request.path.rfind("/debug/", 0) == 0) {
     return HandleDebug(request);
   }
+  return Fail(404, "unknown endpoint " + request.path);
+}
+
+HttpResponse DiffService::Fail(int status, const std::string& message) {
   BumpCounter("server.errors");
-  return JsonError(404, "unknown endpoint " + request.path);
+  return JsonError(status, message);
+}
+
+std::optional<HttpResponse> DiffService::ParseDiffKnobs(
+    std::initializer_list<const std::string*> vendors,
+    const std::string* format, const std::string* checks,
+    core::DiffOptions* options, bool* json_format) {
+  for (const std::string* vendor : vendors) {
+    if (vendor != nullptr && !ValidVendor(*vendor)) {
+      return Fail(400, kVendorError);
+    }
+  }
+  if (format != nullptr) {
+    if (*format != "text" && *format != "json") {
+      return Fail(400, "format must be text or json");
+    }
+    *json_format = *format == "json";
+  }
+  std::string error;
+  if (checks != nullptr && !ParseChecks(*checks, options, &error)) {
+    return Fail(400, error);
+  }
+  return std::nullopt;
 }
 
 HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
   util::JsonValue body;
   std::string parse_error;
   if (!util::ParseJson(request.body, body, &parse_error) || !body.IsObject()) {
-    BumpCounter("server.errors");
-    return JsonError(400, "request body must be a JSON object: " +
-                              parse_error);
+    return Fail(400, "request body must be a JSON object: " + parse_error);
   }
   const util::JsonValue* config1 = body.Find("config1");
   const util::JsonValue* config2 = body.Find("config2");
   if (config1 == nullptr || !config1->IsString() || config2 == nullptr ||
       !config2->IsString()) {
-    BumpCounter("server.errors");
-    return JsonError(400, "fields 'config1' and 'config2' (strings) are required");
+    return Fail(400, "fields 'config1' and 'config2' (strings) are required");
   }
-  std::string vendor1 = "auto";
-  std::string vendor2 = "auto";
-  if (const util::JsonValue* v = body.Find("vendor1"); v != nullptr) {
-    vendor1 = v->string;
-  }
-  if (const util::JsonValue* v = body.Find("vendor2"); v != nullptr) {
-    vendor2 = v->string;
-  }
-  if (!ValidVendor(vendor1) || !ValidVendor(vendor2)) {
-    BumpCounter("server.errors");
-    return JsonError(400, "vendor must be auto, cisco, or juniper");
-  }
-  bool json_format = false;
-  if (const util::JsonValue* v = body.Find("format"); v != nullptr) {
-    if (v->string == "json") {
-      json_format = true;
-    } else if (v->string != "text") {
-      BumpCounter("server.errors");
-      return JsonError(400, "format must be text or json");
-    }
-  }
+  const std::string* vendor1 = FieldText(body, "vendor1");
+  const std::string* vendor2 = FieldText(body, "vendor2");
   core::DiffOptions diff_options = options_.diff;
-  if (const util::JsonValue* v = body.Find("checks");
-      v != nullptr && v->IsString()) {
-    std::string error;
-    if (!ParseChecks(v->string, &diff_options, &error)) {
-      BumpCounter("server.errors");
-      return JsonError(400, error);
-    }
+  bool json_format = false;
+  if (auto error = ParseDiffKnobs({vendor1, vendor2}, FieldText(body, "format"),
+                                  FieldText(body, "checks", true),
+                                  &diff_options, &json_format)) {
+    return *error;
   }
-  bool want_obs = false;
-  if (const util::JsonValue* v = body.Find("obs"); v != nullptr) {
-    want_obs = v->boolean;
-  }
+  const util::JsonValue* want_obs = body.Find("obs");
   BumpCounter("server.diff_requests");
-  return RunDiff("/diff", config1->string, vendor1, config2->string, vendor2,
-                 diff_options, json_format, want_obs);
+  return RunDiff({.endpoint = "/diff",
+                  .text1 = config1->string,
+                  .vendor1 = vendor1 ? *vendor1 : "auto",
+                  .text2 = config2->string,
+                  .vendor2 = vendor2 ? *vendor2 : "auto",
+                  .options = diff_options,
+                  .json_format = json_format,
+                  .want_obs = want_obs != nullptr && want_obs->boolean});
 }
 
 DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   // Task-private capture: this sink collects every metric the task
   // produces — on this thread via the scope below, and on ConfigDiff's
   // pooled pair tasks via DiffOptions::metrics_sink. No cross-request
-  // lock; concurrent tasks each fold their own snapshot at the end.
+  // lock; concurrent tasks each merge their own snapshot at the end.
   obs::MetricsSink sink;
   obs::MetricsScope metrics_scope(sink);
   obs::ResetThreadTrace();
 
   FlightRecord record;
   record.endpoint = task.endpoint;
-  record.cache = "off";
   PairOutcome outcome;
   const std::uint64_t wall_start = obs::NowNs();
+  // Every exit merges the task's metrics into the daemon totals and takes
+  // the phase times from its span tree; the recorder sheds the trace
+  // again unless this request ranks among the slowest K in the ring.
   auto finish = [&] {
+    record.wall_ns = obs::NowNs() - wall_start;
+    record.status = outcome.status;
+    record.cache = outcome.template_cache;
     record.result_cache = outcome.result_cache;
     record.result_key_hash = outcome.result_key_hash;
-    record.status = outcome.status;
-    record.wall_ns = obs::NowNs() - wall_start;
-    phase_latency_.parse.Record(record.parse_ns);
-    if (record.template_ns > 0) {
-      phase_latency_.template_fetch.Record(record.template_ns);
+    record.equivalent = outcome.equivalent;
+    record.differences = outcome.differences;
+    record.spans = obs::TakeThreadSpans();
+    record.metrics = sink.Snapshot();
+    totals_.Merge(record.metrics);
+    for (const obs::PhaseTotal& total : obs::PhaseTotals(record.spans)) {
+      for (std::size_t i = 0; i < kPhases.size(); ++i) {
+        if (total.name != kPhases[i].second) continue;
+        record.phase_ns[i] = total.total_ns;
+        phase_latency_.Record(kPhases[i].first, total.total_ns);
+      }
     }
-    if (record.diff_ns > 0) phase_latency_.diff.Record(record.diff_ns);
-    if (record.render_ns > 0) phase_latency_.render.Record(record.render_ns);
     if (options_.flight_recorder) flight_.Record(std::move(record));
     return outcome;
   };
@@ -367,19 +334,16 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
 
   frontend::LoadResult loaded1;
   frontend::LoadResult loaded2;
-  const std::uint64_t parse_start = obs::NowNs();
   try {
     loaded1 =
         frontend::LoadConfig(task.text1, "config1", ParseVendor(task.vendor1));
     loaded2 =
         frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
   } catch (const std::exception& error) {
-    record.parse_ns = obs::NowNs() - parse_start;
     BumpCounter("server.errors");
     BumpCounter("server.parse_failures");
     return fail(422, error.what());
   }
-  record.parse_ns = obs::NowNs() - parse_start;
 
   // Result-cache consult: a hit replays the rendered response and skips
   // template fetch, diff, and render — the incremental re-diff shortcut.
@@ -390,27 +354,18 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   if (result_eligible) {
     result_key = ResultCacheKeyFor(loaded1.config, loaded2.config,
                                    task.options, task.json_format);
-    std::uint64_t key_hash = 0;
     if (std::shared_ptr<const ResultCache::Result> cached =
-            result_cache_.Get(result_key, &key_hash)) {
+            result_cache_.Get(result_key, &outcome.result_key_hash)) {
       outcome.result_cache = "hit";
-      outcome.result_key_hash = key_hash;
       outcome.body = cached->body;
       outcome.content_type = cached->content_type;
       outcome.equivalent = cached->equivalent;
       outcome.differences = cached->differences;
       outcome.template_cache = cached->template_cache;
-      record.cache = cached->template_cache;
       record.template_key_hash = cached->template_key_hash;
-      record.equivalent = cached->equivalent;
-      record.differences = cached->differences;
-      record.spans = obs::TakeThreadSpans();
-      record.metrics = sink.Snapshot();
-      FoldMetrics(record.metrics);
       return finish();
     }
     outcome.result_cache = "miss";
-    outcome.result_key_hash = key_hash;
   } else if (options_.result_cache) {
     outcome.result_cache = "bypass";
   }
@@ -418,49 +373,39 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   core::DiffOptions diff_options = task.options;
   diff_options.metrics_sink = &sink;
   std::shared_ptr<const encode::EncodingTemplate> tmpl;
-  bool cache_hit = false;
-  const bool cache_eligible =
-      options_.cache && diff_options.use_encoding_template &&
-      (diff_options.check_route_maps || diff_options.check_acls);
-  if (cache_eligible) {
-    const std::uint64_t template_start = obs::NowNs();
-    std::uint64_t key_hash = 0;
-    tmpl = cache_.Get(loaded1.config, loaded2.config, &cache_hit, &key_hash);
+  if (options_.cache && diff_options.use_encoding_template &&
+      (diff_options.check_route_maps || diff_options.check_acls)) {
+    obs::ScopedSpan span("template_fetch");
+    bool cache_hit = false;
+    tmpl = cache_.Get(loaded1.config, loaded2.config, &cache_hit,
+                      &record.template_key_hash);
     diff_options.external_template = tmpl.get();
-    record.template_ns = obs::NowNs() - template_start;
-    record.template_key_hash = key_hash;
-    record.cache = cache_hit ? "hit" : "miss";
+    outcome.template_cache = cache_hit ? "hit" : "miss";
   }
-  outcome.template_cache = cache_eligible ? (cache_hit ? "hit" : "miss")
-                                          : "off";
 
   core::DiffReport report;
-  const std::uint64_t diff_start = obs::NowNs();
   try {
     report = core::ConfigDiff(loaded1.config, loaded2.config, diff_options);
   } catch (const std::exception& error) {
-    record.diff_ns = obs::NowNs() - diff_start;
     BumpCounter("server.errors");
     return fail(500, error.what());
   }
-  record.diff_ns = obs::NowNs() - diff_start;
 
-  std::vector<obs::Span> spans = obs::TakeThreadSpans();
-
-  const std::uint64_t render_start = obs::NowNs();
-  const std::string report_body =
-      task.json_format ? core::ReportToJson(report, loaded1.config.hostname,
-                                            loaded2.config.hostname)
-                       : report.Render();
-  record.render_ns = obs::NowNs() - render_start;
-  record.equivalent = report.Equivalent();
-  record.differences = report.entries.size();
+  std::string report_body;
+  {
+    obs::ScopedSpan span("render");
+    report_body = task.json_format
+                      ? core::ReportToJson(report, loaded1.config.hostname,
+                                           loaded2.config.hostname)
+                      : report.Render();
+  }
   outcome.equivalent = report.Equivalent();
   outcome.differences = report.entries.size();
 
   if (task.want_obs) {
     // The one response shape that is NOT CLI byte-identical, by request:
     // the report plus this request's span tree and metrics snapshot.
+    std::vector<obs::Span> spans = obs::TakeThreadSpans();
     outcome.content_type = "application/json";
     std::ostringstream out;
     out << "{\"report\":"
@@ -468,6 +413,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
         << ",\"equivalent\":" << (report.Equivalent() ? "true" : "false")
         << ",\"obs\":" << obs::TraceToJson(spans, sink.Snapshot()) << "}\n";
     outcome.body = out.str();
+    obs::AttachSpans(std::move(spans));  // finish() records them too.
   } else {
     outcome.content_type =
         task.json_format ? "application/json" : "text/plain; charset=utf-8";
@@ -484,34 +430,11 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     cached->template_key_hash = record.template_key_hash;
     result_cache_.Put(result_key, std::move(cached));
   }
-
-  auto metrics = sink.Snapshot();
-  FoldMetrics(metrics);
-  // Hand the trace to the recorder last: it sheds the spans again unless
-  // this request ranks among the slowest K in the ring.
-  record.spans = std::move(spans);
-  record.metrics = std::move(metrics);
   return finish();
 }
 
-HttpResponse DiffService::RunDiff(const std::string& endpoint,
-                                  const std::string& text1,
-                                  const std::string& vendor1,
-                                  const std::string& text2,
-                                  const std::string& vendor2,
-                                  const core::DiffOptions& options,
-                                  bool json_format, bool want_obs) {
-  PairTask task;
-  task.endpoint = endpoint;
-  task.text1 = text1;
-  task.vendor1 = vendor1;
-  task.text2 = text2;
-  task.vendor2 = vendor2;
-  task.options = options;
-  task.json_format = json_format;
-  task.want_obs = want_obs;
+HttpResponse DiffService::RunDiff(const PairTask& task) {
   PairOutcome outcome = ExecutePair(task);
-
   HttpResponse response;
   response.status = outcome.status;
   response.content_type = outcome.content_type;
@@ -533,41 +456,26 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
   util::JsonValue body;
   std::string parse_error;
   if (!util::ParseJson(request.body, body, &parse_error)) {
-    BumpCounter("server.errors");
-    return JsonError(400, "request body must be JSON: " + parse_error);
+    return Fail(400, "request body must be JSON: " + parse_error);
   }
   // Either {"pairs": [...], "format": ..., "checks": ...} or a bare array
   // of pair objects.
-  const util::JsonValue* pairs_json = nullptr;
+  const util::JsonValue* pairs_json = body.IsArray() ? &body : nullptr;
   bool json_format = false;
   core::DiffOptions diff_options = options_.diff;
-  if (body.IsArray()) {
-    pairs_json = &body;
-  } else if (body.IsObject()) {
+  if (body.IsObject()) {
     pairs_json = body.Find("pairs");
-    if (const util::JsonValue* v = body.Find("format"); v != nullptr) {
-      if (v->string == "json") {
-        json_format = true;
-      } else if (v->string != "text") {
-        BumpCounter("server.errors");
-        return JsonError(400, "format must be text or json");
-      }
-    }
-    if (const util::JsonValue* v = body.Find("checks");
-        v != nullptr && v->IsString()) {
-      std::string error;
-      if (!ParseChecks(v->string, &diff_options, &error)) {
-        BumpCounter("server.errors");
-        return JsonError(400, error);
-      }
+    if (auto error = ParseDiffKnobs({}, FieldText(body, "format"),
+                                    FieldText(body, "checks", true),
+                                    &diff_options, &json_format)) {
+      return *error;
     }
   }
   if (pairs_json == nullptr || !pairs_json->IsArray() ||
       pairs_json->array.empty()) {
-    BumpCounter("server.errors");
-    return JsonError(400,
-                     "field 'pairs' (non-empty array of pair objects) is "
-                     "required");
+    return Fail(400,
+                "field 'pairs' (non-empty array of pair objects) is "
+                "required");
   }
   // Each pair fans its ConfigDiff out over one worker: the batch itself is
   // the parallelism (pair granularity), and nesting pools would
@@ -577,40 +485,30 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
   std::vector<PairTask> tasks;
   tasks.reserve(pairs_json->array.size());
   for (const util::JsonValue& pair : pairs_json->array) {
-    if (!pair.IsObject()) {
-      BumpCounter("server.errors");
-      return JsonError(400, "each pair must be a JSON object");
-    }
+    if (!pair.IsObject()) return Fail(400, "each pair must be a JSON object");
     const util::JsonValue* name = pair.Find("name");
     const util::JsonValue* config1 = pair.Find("config1");
     const util::JsonValue* config2 = pair.Find("config2");
     if (name == nullptr || !name->IsString() || name->string.empty() ||
         config1 == nullptr || !config1->IsString() || config2 == nullptr ||
         !config2->IsString()) {
-      BumpCounter("server.errors");
-      return JsonError(400,
-                       "each pair requires 'name', 'config1', and 'config2' "
-                       "(strings)");
+      return Fail(400,
+                  "each pair requires 'name', 'config1', and 'config2' "
+                  "(strings)");
     }
-    PairTask task;
-    task.endpoint = "/batch#" + name->string;
-    task.text1 = config1->string;
-    task.text2 = config2->string;
-    task.vendor1 = "auto";
-    task.vendor2 = "auto";
-    if (const util::JsonValue* v = pair.Find("vendor1"); v != nullptr) {
-      task.vendor1 = v->string;
+    const std::string* vendor1 = FieldText(pair, "vendor1");
+    const std::string* vendor2 = FieldText(pair, "vendor2");
+    if (auto error = ParseDiffKnobs({vendor1, vendor2}, nullptr, nullptr,
+                                    &diff_options, &json_format)) {
+      return *error;
     }
-    if (const util::JsonValue* v = pair.Find("vendor2"); v != nullptr) {
-      task.vendor2 = v->string;
-    }
-    if (!ValidVendor(task.vendor1) || !ValidVendor(task.vendor2)) {
-      BumpCounter("server.errors");
-      return JsonError(400, "vendor must be auto, cisco, or juniper");
-    }
-    task.options = diff_options;
-    task.json_format = json_format;
-    tasks.push_back(std::move(task));
+    tasks.push_back({.endpoint = "/batch#" + name->string,
+                     .text1 = config1->string,
+                     .vendor1 = vendor1 ? *vendor1 : "auto",
+                     .text2 = config2->string,
+                     .vendor2 = vendor2 ? *vendor2 : "auto",
+                     .options = diff_options,
+                     .json_format = json_format});
   }
   BumpCounter("server.batch_requests");
   BumpCounter("server.batch_pairs", static_cast<double>(tasks.size()));
@@ -690,144 +588,46 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
 
 HttpResponse DiffService::HandleMetrics(const HttpRequest& request) {
   const std::string format = request.QueryParam("format", "text");
-  if (format == "prometheus") {
-    HttpResponse response;
-    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    response.body = RenderMetricsPrometheus();
-    return response;
-  }
-  if (format != "text") {
-    BumpCounter("server.errors");
-    return JsonError(400, "format must be text or prometheus");
+  if (format != "text" && format != "prometheus") {
+    return Fail(400, "format must be text or prometheus");
   }
   HttpResponse response;
-  response.body = RenderMetricsText();
+  if (format == "prometheus") {
+    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    response.body = obs::RenderMetricsPrometheus(Telemetry());
+  } else {
+    response.body = obs::RenderMetricsText(Telemetry());
+  }
   return response;
 }
 
-std::string DiffService::RenderMetricsText() {
-  std::ostringstream out;
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    for (const auto& [name, value] : cumulative_) {
-      out << name << ' ' << util::JsonNumber(value) << '\n';
-    }
-  }
-  out << "server.keepalive_reuses "
-      << (keepalive_reuses_ ? keepalive_reuses_() : 0) << '\n';
-  // Latency quantiles from the endpoint and phase histograms. Bounds are
-  // inclusive bucket upper bounds (within 25% of the true rank value; see
-  // obs/histogram.h).
-  AppendTextQuantiles(out, "server.latency.batch",
-                      endpoint_latency_.batch.Snapshot());
-  AppendTextQuantiles(out, "server.latency.diff",
-                      endpoint_latency_.diff.Snapshot());
-  AppendTextQuantiles(out, "server.latency.request",
-                      endpoint_latency_.request.Snapshot());
-  AppendTextQuantiles(out, "server.phase.diff",
-                      phase_latency_.diff.Snapshot());
-  AppendTextQuantiles(out, "server.phase.parse",
-                      phase_latency_.parse.Snapshot());
-  AppendTextQuantiles(out, "server.phase.render",
-                      phase_latency_.render.Snapshot());
-  AppendTextQuantiles(out, "server.phase.template",
-                      phase_latency_.template_fetch.Snapshot());
-  const ResultCache::Stats results = result_cache_.GetStats();
-  out << "server.result_cache_entries " << results.entries << '\n';
-  out << "server.result_cache_evictions " << results.evictions << '\n';
-  out << "server.result_cache_hits " << results.hits << '\n';
-  out << "server.result_cache_misses " << results.misses << '\n';
-  out << "server.result_cache_resident_bytes " << results.resident_bytes
-      << '\n';
-  const TemplateCache::Stats cache = cache_.GetStats();
-  out << "server.template_cache_entries " << cache.entries << '\n';
-  out << "server.template_cache_evictions " << cache.evictions << '\n';
-  out << "server.template_cache_gc_compacted_bytes "
-      << cache.gc_compacted_bytes << '\n';
-  out << "server.template_cache_gc_reclaimed_nodes "
-      << cache.gc_reclaimed_nodes << '\n';
-  out << "server.template_cache_hits " << cache.hits << '\n';
-  out << "server.template_cache_misses " << cache.misses << '\n';
-  out << "server.template_cache_resident_bytes " << cache.resident_bytes
-      << '\n';
+obs::MetricsSnapshot DiffService::Telemetry() {
+  obs::MetricsSink view;
+  view.Merge(totals_.Snapshot());
+  // Current state joins as gauges; Max into the fresh sink sets them.
+  const TemplateCache::Stats tc = cache_.GetStats();
+  const ResultCache::Stats rc = result_cache_.GetStats();
+  view.Add("server.keepalive_reuses",
+           keepalive_reuses_ ? keepalive_reuses_() : 0);
+  view.Add("server.template_cache_hits", tc.hits);
+  view.Add("server.template_cache_misses", tc.misses);
+  view.Add("server.template_cache_evictions", tc.evictions);
+  view.Add("server.template_cache_gc_reclaimed_nodes", tc.gc_reclaimed_nodes);
+  view.Add("server.template_cache_gc_compacted_bytes", tc.gc_compacted_bytes);
+  view.Max("server.template_cache_entries", tc.entries);
+  view.Max("server.template_cache_resident_bytes", tc.resident_bytes);
+  view.Add("server.result_cache_hits", rc.hits);
+  view.Add("server.result_cache_misses", rc.misses);
+  view.Add("server.result_cache_evictions", rc.evictions);
+  view.Max("server.result_cache_entries", rc.entries);
+  view.Max("server.result_cache_resident_bytes", rc.resident_bytes);
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
-    out << "server.sessions " << sessions_.size() << '\n';
+    view.Max("server.sessions", sessions_.size());
   }
-  return out.str();
-}
-
-std::string DiffService::RenderMetricsPrometheus() {
-  std::ostringstream out;
-  // Folded request metrics and server counters: watermark-style names are
-  // gauges, everything else counts monotonically.
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    for (const auto& [name, value] : cumulative_) {
-      const std::string prom = PrometheusName(name);
-      out << "# TYPE " << prom
-          << (IsWatermarkMetric(name) ? " gauge" : " counter") << '\n';
-      out << prom << ' ' << util::JsonNumber(value) << '\n';
-    }
-  }
-  const std::uint64_t reuses = keepalive_reuses_ ? keepalive_reuses_() : 0;
-  out << "# TYPE campion_server_keepalive_reuses counter\n";
-  out << "campion_server_keepalive_reuses " << reuses << '\n';
-  const TemplateCache::Stats cache = cache_.GetStats();
-  const auto counter = [&](const char* name, std::uint64_t value) {
-    out << "# TYPE " << name << " counter\n" << name << ' ' << value << '\n';
-  };
-  const auto gauge = [&](const char* name, std::uint64_t value) {
-    out << "# TYPE " << name << " gauge\n" << name << ' ' << value << '\n';
-  };
-  counter("campion_server_template_cache_hits", cache.hits);
-  counter("campion_server_template_cache_misses", cache.misses);
-  counter("campion_server_template_cache_evictions", cache.evictions);
-  gauge("campion_server_template_cache_entries", cache.entries);
-  gauge("campion_server_template_cache_resident_bytes", cache.resident_bytes);
-  const ResultCache::Stats results = result_cache_.GetStats();
-  counter("campion_server_result_cache_hits", results.hits);
-  counter("campion_server_result_cache_misses", results.misses);
-  counter("campion_server_result_cache_evictions", results.evictions);
-  gauge("campion_server_result_cache_entries", results.entries);
-  gauge("campion_server_result_cache_resident_bytes", results.resident_bytes);
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    gauge("campion_server_sessions", sessions_.size());
-  }
-  // Histograms. The unlabeled aggregate family comes first; the labeled
-  // per-endpoint and per-phase families share one # TYPE line each.
-  out << "# TYPE campion_request_duration_ns histogram\n";
-  AppendPrometheusHistogram(out, "campion_request_duration_ns", "",
-                            endpoint_latency_.request.Snapshot());
-  out << "# TYPE campion_endpoint_duration_ns histogram\n";
-  const std::pair<const char*, const obs::LatencyHistogram*> endpoints[] = {
-      {"healthz", &endpoint_latency_.healthz},
-      {"metrics", &endpoint_latency_.metrics},
-      {"diff", &endpoint_latency_.diff},
-      {"batch", &endpoint_latency_.batch},
-      {"sessions", &endpoint_latency_.sessions},
-      {"debug", &endpoint_latency_.debug},
-      {"other", &endpoint_latency_.other},
-  };
-  for (const auto& [name, histogram] : endpoints) {
-    AppendPrometheusHistogram(
-        out, "campion_endpoint_duration_ns",
-        std::string("endpoint=\"") + name + "\"", histogram->Snapshot());
-  }
-  out << "# TYPE campion_phase_duration_ns histogram\n";
-  const std::pair<const char*, const obs::LatencyHistogram*> phases[] = {
-      {"parse", &phase_latency_.parse},
-      {"template", &phase_latency_.template_fetch},
-      {"diff", &phase_latency_.diff},
-      {"render", &phase_latency_.render},
-  };
-  for (const auto& [name, histogram] : phases) {
-    AppendPrometheusHistogram(out, "campion_phase_duration_ns",
-                              std::string("phase=\"") + name + "\"",
-                              histogram->Snapshot());
-  }
-  return out.str();
+  return {view.Snapshot(),
+          {request_latency_.Snapshot(), endpoint_latency_.Snapshot(),
+           phase_latency_.Snapshot()}};
 }
 
 HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
@@ -836,8 +636,7 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
   if (request.path == "/debug/requests" ||
       request.path.rfind("/debug/requests/", 0) == 0) {
     if (!options_.flight_recorder) {
-      BumpCounter("server.errors");
-      return JsonError(404, "flight recorder is disabled");
+      return Fail(404, "flight recorder is disabled");
     }
     if (request.path == "/debug/requests") {
       return JsonOk(flight_.ListJson());
@@ -847,13 +646,11 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
     char* end = nullptr;
     const std::uint64_t id = std::strtoull(id_text.c_str(), &end, 10);
     if (id_text.empty() || end == nullptr || *end != '\0') {
-      BumpCounter("server.errors");
-      return JsonError(400, "request id must be a decimal integer");
+      return Fail(400, "request id must be a decimal integer");
     }
     std::string body;
     if (!flight_.EntryJson(id, &body)) {
-      BumpCounter("server.errors");
-      return JsonError(404, "no request " + id_text + " in the ring");
+      return Fail(404, "no request " + id_text + " in the ring");
     }
     return JsonOk(body);
   }
@@ -912,8 +709,7 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
     out << "]}\n";
     return JsonOk(out.str());
   }
-  BumpCounter("server.errors");
-  return JsonError(404, "unknown endpoint " + request.path);
+  return Fail(404, "unknown endpoint " + request.path);
 }
 
 HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
@@ -946,20 +742,17 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
   }
   const std::string& name = rest;
   if (!ValidSessionName(name)) {
-    BumpCounter("server.errors");
-    return JsonError(400, "invalid session name");
+    return Fail(400, "invalid session name");
   }
 
   if (verb == "running" || verb == "candidate") {
     if (request.method != "PUT") return JsonError(405, "use PUT");
     if (request.body.empty()) {
-      BumpCounter("server.errors");
-      return JsonError(400, "request body must be the raw config text");
+      return Fail(400, "request body must be the raw config text");
     }
     const std::string vendor = request.QueryParam("vendor", "auto");
     if (!ValidVendor(vendor)) {
-      BumpCounter("server.errors");
-      return JsonError(400, "vendor must be auto, cisco, or juniper");
+      return Fail(400, kVendorError);
     }
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     Session& session = sessions_[name];
@@ -977,49 +770,39 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
 
   if (verb == "diff") {
     if (request.method != "GET") return JsonError(405, "use GET");
-    std::string running;
-    std::string candidate;
-    std::string running_vendor;
-    std::string candidate_vendor;
+    Session session;
     {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       auto it = sessions_.find(name);
       if (it == sessions_.end()) {
-        BumpCounter("server.errors");
-        return JsonError(404, "no session named '" + name + "'");
+        return Fail(404, "no session named '" + name + "'");
       }
       if (it->second.running.empty()) {
-        BumpCounter("server.errors");
-        return JsonError(409, "session '" + name + "' has no running config");
+        return Fail(409, "session '" + name + "' has no running config");
       }
       if (it->second.candidate.empty()) {
-        BumpCounter("server.errors");
-        return JsonError(409,
-                         "session '" + name + "' has no candidate config");
+        return Fail(409, "session '" + name + "' has no candidate config");
       }
-      running = it->second.running;
-      candidate = it->second.candidate;
-      running_vendor = it->second.running_vendor;
-      candidate_vendor = it->second.candidate_vendor;
+      session = it->second;
     }
     const std::string format = request.QueryParam("format", "text");
-    if (format != "text" && format != "json") {
-      BumpCounter("server.errors");
-      return JsonError(400, "format must be text or json");
-    }
-    core::DiffOptions diff_options = options_.diff;
     const std::string checks = request.QueryParam("checks");
-    if (!checks.empty()) {
-      std::string error;
-      if (!ParseChecks(checks, &diff_options, &error)) {
-        BumpCounter("server.errors");
-        return JsonError(400, error);
-      }
+    core::DiffOptions diff_options = options_.diff;
+    bool json_format = false;
+    if (auto error = ParseDiffKnobs({}, &format,
+                                    checks.empty() ? nullptr : &checks,
+                                    &diff_options, &json_format)) {
+      return *error;
     }
     BumpCounter("server.diff_requests");
-    return RunDiff(request.path, running, running_vendor, candidate,
-                   candidate_vendor, diff_options, format == "json",
-                   request.QueryParam("obs") == "1");
+    return RunDiff({.endpoint = request.path,
+                    .text1 = session.running,
+                    .vendor1 = session.running_vendor,
+                    .text2 = session.candidate,
+                    .vendor2 = session.candidate_vendor,
+                    .options = diff_options,
+                    .json_format = json_format,
+                    .want_obs = request.QueryParam("obs") == "1"});
   }
 
   if (verb == "commit" || verb == "rollback") {
@@ -1027,12 +810,10 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     auto it = sessions_.find(name);
     if (it == sessions_.end()) {
-      BumpCounter("server.errors");
-      return JsonError(404, "no session named '" + name + "'");
+      return Fail(404, "no session named '" + name + "'");
     }
     if (it->second.candidate.empty()) {
-      BumpCounter("server.errors");
-      return JsonError(409, "session '" + name + "' has no candidate config");
+      return Fail(409, "session '" + name + "' has no candidate config");
     }
     if (verb == "commit") {
       it->second.running = std::move(it->second.candidate);
@@ -1048,8 +829,7 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     if (request.method == "DELETE") {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       if (sessions_.erase(name) == 0) {
-        BumpCounter("server.errors");
-        return JsonError(404, "no session named '" + name + "'");
+        return Fail(404, "no session named '" + name + "'");
       }
       return JsonOk("{\"deleted\":\"" + util::JsonEscape(name) + "\"}\n");
     }
@@ -1057,8 +837,7 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       auto it = sessions_.find(name);
       if (it == sessions_.end()) {
-        BumpCounter("server.errors");
-        return JsonError(404, "no session named '" + name + "'");
+        return Fail(404, "no session named '" + name + "'");
       }
       return JsonOk("{\"name\":\"" + util::JsonEscape(name) +
                     "\",\"has_running\":" +
@@ -1070,26 +849,7 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     return JsonError(405, "use GET or DELETE");
   }
 
-  BumpCounter("server.errors");
-  return JsonError(404, "unknown session operation '" + verb + "'");
-}
-
-void DiffService::FoldMetrics(
-    const std::vector<std::pair<std::string, double>>& snapshot) {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  for (const auto& [name, value] : snapshot) {
-    if (IsWatermarkMetric(name)) {
-      double& slot = cumulative_[name];
-      slot = std::max(slot, value);
-    } else {
-      cumulative_[name] += value;
-    }
-  }
-}
-
-void DiffService::BumpCounter(const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  cumulative_[name] += delta;
+  return Fail(404, "unknown session operation '" + verb + "'");
 }
 
 }  // namespace campion::server

@@ -40,22 +40,26 @@
 // scoped observability capture: every request records into its own
 // obs::MetricsSink (threaded through DiffOptions::metrics_sink so the
 // pooled pair tasks land there too) and its own thread-local span buffer,
-// and the service folds the private snapshot into the daemon cumulative
-// map only at request completion. The only cross-request serialization
+// and the service merges the private snapshot into the daemon totals only
+// at request completion. The only cross-request serialization
 // left is the template cache's build lock, which exists to deduplicate
 // simultaneous misses on one key, not to order requests.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "core/config_diff.h"
 #include "ir/config.h"
 #include "obs/histogram.h"
+#include "obs/metrics.h"
+#include "obs/trace_report.h"
 #include "server/flight_recorder.h"
 #include "server/http.h"
 #include "server/result_cache.h"
@@ -124,27 +128,6 @@ class DiffService {
     std::string candidate_vendor = "auto";
   };
 
-  // Per-endpoint wall-time histograms plus one aggregate, all recorded in
-  // Handle. The set is fixed so the record path is a lock-free array
-  // update — no map lookups or allocation while requests are in flight.
-  struct EndpointLatency {
-    obs::LatencyHistogram request;   // Every request, any endpoint.
-    obs::LatencyHistogram healthz;
-    obs::LatencyHistogram metrics;
-    obs::LatencyHistogram diff;      // POST /diff and session diffs.
-    obs::LatencyHistogram batch;     // POST /batch, whole-request wall.
-    obs::LatencyHistogram sessions;  // Session CRUD (non-diff verbs).
-    obs::LatencyHistogram debug;
-    obs::LatencyHistogram other;     // 404s and anything unclassified.
-  };
-  // Pipeline-phase histograms, recorded per diff execution in RunDiff.
-  struct PhaseLatency {
-    obs::LatencyHistogram parse;
-    obs::LatencyHistogram template_fetch;  // Cache Get (build on a miss).
-    obs::LatencyHistogram diff;
-    obs::LatencyHistogram render;
-  };
-
   HttpResponse Dispatch(const HttpRequest& request);
   HttpResponse HandleDiff(const HttpRequest& request);
   HttpResponse HandleBatch(const HttpRequest& request);
@@ -188,35 +171,47 @@ class DiffService {
 
   // ExecutePair wrapped back into an HTTP response (headers + error
   // passthrough) for the single-pair endpoints.
-  HttpResponse RunDiff(const std::string& endpoint, const std::string& text1,
-                       const std::string& vendor1, const std::string& text2,
-                       const std::string& vendor2,
-                       const core::DiffOptions& options, bool json_format,
-                       bool want_obs);
+  HttpResponse RunDiff(const PairTask& task);
 
-  std::string RenderMetricsText();
-  std::string RenderMetricsPrometheus();
+  // Validates and applies the request knobs /diff, /batch, and session
+  // diffs share: vendors, `format` (sets `json_format`), and `checks`
+  // (rewrites `options`); null means absent. An invalid value returns its
+  // 400 response, counted in server.errors.
+  std::optional<HttpResponse> ParseDiffKnobs(
+      std::initializer_list<const std::string*> vendors,
+      const std::string* format, const std::string* checks,
+      core::DiffOptions* options, bool* json_format);
 
-  void FoldMetrics(
-      const std::vector<std::pair<std::string, double>>& snapshot);
-  void BumpCounter(const std::string& name, double delta = 1.0);
+  // One /metrics scrape: the folded request metrics, the server counters,
+  // the caches' and sessions' current state, and the latency families.
+  obs::MetricsSnapshot Telemetry();
+
+  // A JSON error response that also counts in server.errors.
+  HttpResponse Fail(int status, const std::string& message);
+  void BumpCounter(const char* name, double delta = 1.0) {
+    totals_.Add(name, delta);
+  }
 
   ServiceOptions options_;
   TemplateCache cache_;
   ResultCache result_cache_;
   FlightRecorder flight_;
-  EndpointLatency endpoint_latency_;
-  PhaseLatency phase_latency_;
   std::function<std::uint64_t()> keepalive_reuses_;
 
   std::mutex sessions_mutex_;
   std::map<std::string, Session> sessions_;
 
-  // Daemon-cumulative metrics (server.* counters plus every obs metric the
-  // requests produced, summed — watermark-style names keep their max).
-  // /metrics renders this map.
-  mutable std::mutex metrics_mutex_;
-  std::map<std::string, double> cumulative_;
+  // Daemon-cumulative metrics: server.* counters plus every request's
+  // sink snapshot, merged by kind (counters sum, gauges keep the max).
+  obs::MetricsSink totals_;
+  // Wall time of every request; of each endpoint class; of each kPhases
+  // phase of a diff execution.
+  obs::LatencyFamily request_latency_{
+      "server.latency", "campion_request_duration_ns", "", {"request"}};
+  obs::LatencyFamily endpoint_latency_{
+      "server.latency", "campion_endpoint_duration_ns", "endpoint",
+      {"healthz", "metrics", "diff", "batch", "sessions", "debug", "other"}};
+  obs::LatencyFamily phase_latency_;
 };
 
 }  // namespace campion::server

@@ -53,6 +53,11 @@
 namespace {
 
 struct Options {
+  Options() {
+    // The daemon sifts each cached template once by default (--help,
+    // docs/daemon.md); ServiceOptions keeps the library default, off.
+    service.diff.reorder = campion::core::DiffOptions::ReorderMode::kSift;
+  }
   int port = 8080;
   std::string bind = "127.0.0.1";
   unsigned http_threads = 4;

@@ -16,6 +16,10 @@
 #      flag must appear in the API reference, and every documented
 #      endpoint path must be one the daemon actually serves (and vice
 #      versa for the canonical endpoint list below).
+#   4. Cross-checks docs/trace_format.md against a live daemon: starts
+#      campion_serve on an ephemeral port, runs one /diff and one /batch of
+#      examples/configs, scrapes /metrics in both formats, and fails on any
+#      metric family the vocabulary does not name.
 #
 # Usage: docs_check.sh <source_dir> <build_dir> <campion_binary> \
 #                      <trace_diff_binary> <campion_serve_binary>
@@ -34,7 +38,8 @@ failures=0
 # for read-only inputs (examples/, docs/) so relative paths in the docs
 # work while any files the commands write stay out of the source tree.
 WORKDIR=$(mktemp -d)
-trap 'rm -rf "$WORKDIR"' EXIT
+SERVE_PID=""
+trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null; rm -rf "$WORKDIR"' EXIT
 ln -s "$SRC_DIR/examples" "$WORKDIR/examples"
 ln -s "$SRC_DIR/docs" "$WORKDIR/docs"
 
@@ -155,6 +160,69 @@ else
   done < <(grep -oE '`(GET|PUT|POST|DELETE) /[^`]*`' "$DAEMON_MD" \
              | sed -E 's/`[A-Z]+ ([^`?]*).*/\1/' | sort -u)
 fi
+
+echo "== cross-checking /metrics against docs/trace_format.md =="
+TRACE_MD=$SRC_DIR/docs/trace_format.md
+# Every name the vocabulary spells out: backticked dotted names with
+# {a,b} alternations expanded, plus each `prefix.` table row's prefix
+# joined with every backticked name in its Names column.
+documented=$(
+  set -f  # `.*` families stay literal.
+  grep -oE '`[a-z_]+\.[a-z0-9_.{},*]*`' "$TRACE_MD" | tr -d '`' |
+    while IFS= read -r name; do eval "printf '%s\n' $name"; done
+  awk -F'|' '$2 ~ /^ `[a-z_]+\.`/ {
+    split($2, prefix, "`")
+    n = split($3, names, "`")
+    for (i = 2; i <= n; i += 2) print prefix[2] names[i]
+  }' "$TRACE_MD"
+)
+"$CAMPION_SERVE" --port=0 --http_threads=2 > "$WORKDIR/serve.log" 2>&1 &
+SERVE_PID=$!
+port=""
+for _ in $(seq 1 50); do
+  port=$(sed -nE 's|.*listening on http://[0-9.]+:([0-9]+)/.*|\1|p' "$WORKDIR/serve.log")
+  [ -n "$port" ] && break
+  sleep 0.1
+done
+cfg=$SRC_DIR/examples/configs
+pair() {  # name config1 config2
+  jq -n --arg name "$1" --rawfile c1 "$cfg/$2" --rawfile c2 "$cfg/$3" \
+    '{name: $name, config1: $c1, config2: $c2}'
+}
+if [ -z "$port" ]; then
+  echo "FAIL campion_serve did not start: $(cat "$WORKDIR/serve.log")"
+  failures=$((failures + 1))
+elif ! pair fig1 fig1_cisco.cfg fig1_juniper.cfg |
+       curl -sf -X POST "localhost:$port/diff" --data-binary @- -o /dev/null ||
+     ! { pair core university_core_cisco.cfg university_core_juniper.conf
+         pair border university_border_cisco.cfg university_border_juniper.conf
+         pair dualstack dualstack_edge_cisco.cfg dualstack_edge_juniper.conf
+       } | jq -s '{pairs: .}' |
+       curl -sf -X POST "localhost:$port/batch" --data-binary @- -o /dev/null; then
+  echo "FAIL POST /diff or /batch of examples/configs did not answer 200"
+  failures=$((failures + 1))
+else
+  # Text samples by name, the quantile blocks as their `.*` family; the
+  # Prometheus histogram families by name.
+  families=$(
+    curl -sf "localhost:$port/metrics" | cut -d' ' -f1 |
+      sed -E 's/^(server\.(latency|phase)\.[a-z_]+)\.(count|mean_ns|p50_ns|p95_ns|p99_ns)$/\1.*/' |
+      sort -u
+    curl -sf "localhost:$port/metrics?format=prometheus" |
+      awk '$1 == "#" && $4 == "histogram" {print $3}'
+  )
+  for family in $families; do
+    if ! printf '%s\n' "$documented" | grep -qxF -- "$family" &&
+       ! grep -qF -e "\`$family\`" -e "\`$family{" "$TRACE_MD"; then
+      echo "FAIL docs/trace_format.md does not name metric family $family"
+      failures=$((failures + 1))
+    fi
+  done
+  echo "ok   $(printf '%s\n' $families | wc -l) metric families named"
+fi
+kill "$SERVE_PID" 2>/dev/null
+wait "$SERVE_PID" 2>/dev/null
+SERVE_PID=""
 
 if [ $failures -ne 0 ]; then
   echo "docs_check: $failures failure(s)"

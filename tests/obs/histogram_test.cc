@@ -204,5 +204,22 @@ TEST(HistogramTest, ConcurrentRecordsAreAllCounted) {
   EXPECT_EQ(total, snapshot.count);
 }
 
+TEST(HistogramTest, FamilyRecordsByLabelWithoutAllocating) {
+  LatencyFamily family("server.phase", "campion_phase_duration_ns", "phase",
+                       {"parse", "diff"});
+  family.Record("parse", 10);  // Warm anything lazy before measuring.
+  const std::uint64_t before = g_allocations.load();
+  family.Record("diff", 100);
+  family.Record("diff", 200);
+  family.Record("unknown", 300);  // Outside the label set: dropped.
+  EXPECT_EQ(g_allocations.load(), before);
+  const LatencyFamilySnapshot snapshot = family.Snapshot();
+  EXPECT_EQ(snapshot.family, &family);
+  ASSERT_EQ(snapshot.histograms.size(), 2u);
+  EXPECT_EQ(snapshot.histograms[0].count, 1u);
+  EXPECT_EQ(snapshot.histograms[1].count, 2u);
+  EXPECT_EQ(snapshot.histograms[1].sum_ns, 300u);
+}
+
 }  // namespace
 }  // namespace campion::obs

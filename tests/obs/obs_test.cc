@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_report.h"
@@ -97,10 +98,33 @@ TEST_F(ObsTest, ConcurrentCounterUpdatesFromPool) {
   });
   auto snapshot = ProcessMetrics().Snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "test.adds");
-  EXPECT_EQ(snapshot[0].second, kTasks * 100.0);
-  EXPECT_EQ(snapshot[1].first, "test.watermark");
-  EXPECT_EQ(snapshot[1].second, kTasks - 1.0);
+  EXPECT_EQ(snapshot[0].name, "test.adds");
+  EXPECT_EQ(snapshot[0].value, kTasks * 100.0);
+  EXPECT_EQ(snapshot[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(snapshot[1].name, "test.watermark");
+  EXPECT_EQ(snapshot[1].value, kTasks - 1.0);
+  EXPECT_EQ(snapshot[1].kind, MetricKind::kGauge);
+}
+
+// The daemon's cumulative fold: a merged snapshot keeps each sample's
+// kind, so counters sum across merges and gauges keep their maximum —
+// whatever the metric is named.
+TEST_F(ObsTest, MergeFoldsSamplesByKind) {
+  MetricsSink request;
+  request.Add("a.total", 3.0);
+  request.Max("mem.rss_bytes", 100.0);
+  MetricsSink totals;
+  totals.Merge(request.Snapshot());
+  totals.Merge(request.Snapshot());
+  totals.Merge({{"mem.rss_bytes", 40.0, MetricKind::kGauge}});
+  auto snapshot = totals.Snapshot();
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].name, "a.total");
+  EXPECT_EQ(snapshot[0].value, 6.0);
+  EXPECT_EQ(snapshot[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(snapshot[1].name, "mem.rss_bytes");
+  EXPECT_EQ(snapshot[1].value, 100.0);
+  EXPECT_EQ(snapshot[1].kind, MetricKind::kGauge);
 }
 
 // The ConfigDiff merge pattern, in miniature: each task records one span
@@ -221,6 +245,48 @@ TEST_F(ObsTest, StatsSummaryRendersTables) {
   EXPECT_NE(stats.find("parse"), std::string::npos);
   EXPECT_NE(stats.find("bdd.cache_hit_rate"), std::string::npos);
   EXPECT_NE(stats.find("0.4"), std::string::npos);
+}
+
+// Both /metrics formats render from one snapshot: samples typed by kind,
+// latency families from their single declaration.
+TEST_F(ObsTest, MetricsRenderersShareOneSnapshot) {
+  MetricsSink sink;
+  sink.Add("server.errors", 2.0);
+  sink.Max("mem.rss_bytes", 4096.0);
+  LatencyFamily total("server.latency", "campion_request_duration_ns", "",
+                      {"request"});
+  LatencyFamily phases("server.phase", "campion_phase_duration_ns", "phase",
+                       {"parse", "render"});
+  total.Record("request", 5);
+  phases.Record("render", 2);
+  const MetricsSnapshot snapshot{
+      sink.Snapshot(), {total.Snapshot(), phases.Snapshot()}};
+
+  const std::string text = RenderMetricsText(snapshot);
+  EXPECT_NE(text.find("mem.rss_bytes 4096\n"), std::string::npos);
+  EXPECT_NE(text.find("server.errors 2\n"), std::string::npos);
+  EXPECT_NE(text.find("server.latency.request.count 1\n"), std::string::npos);
+  EXPECT_NE(text.find("server.phase.parse.count 0\n"), std::string::npos);
+  EXPECT_NE(text.find("server.phase.render.p99_ns 2\n"), std::string::npos);
+  EXPECT_LT(text.find("mem.rss_bytes"), text.find("server.errors"));
+
+  const std::string prometheus = RenderMetricsPrometheus(snapshot);
+  EXPECT_NE(prometheus.find("# TYPE campion_mem_rss_bytes gauge\n"
+                            "campion_mem_rss_bytes 4096\n"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("# TYPE campion_server_errors counter\n"
+                            "campion_server_errors 2\n"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("campion_request_duration_ns_bucket{le=\"6\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("campion_request_duration_ns_count 1\n"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find(
+                "campion_phase_duration_ns_count{phase=\"parse\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("campion_phase_duration_ns_bucket{phase=\"render\","
+                            "le=\"+Inf\"} 1\n"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -65,6 +67,18 @@ std::string DiffRequestBody(const std::string& config1,
                             const std::string& extra = "") {
   return "{\"config1\":" + JsonString(config1) +
          ",\"config2\":" + JsonString(config2) + extra + "}";
+}
+
+// `name value` lines of a text exposition, keyed by name.
+std::map<std::string, std::string> TextSamples(const std::string& body) {
+  std::map<std::string, std::string> samples;
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.find(' ');
+    samples[line.substr(0, space)] = line.substr(space + 1);
+  }
+  return samples;
 }
 
 // One server per fixture instantiation, torn down with the test.
@@ -585,6 +599,213 @@ TEST_F(ServerTest, FlightRecorderMemoryStaysBoundedOver200Requests) {
   // The final full diff is the slowest thing in the ring: its trace
   // survived the shedding.
   EXPECT_EQ(requests->array[0].Find("trace_retained")->boolean, true);
+}
+
+// `# TYPE <family> <type>` lines of a Prometheus exposition.
+std::map<std::string, std::string> PrometheusTypes(const std::string& body) {
+  std::map<std::string, std::string> types;
+  std::istringstream lines(body);
+  std::string hash, keyword, family, type;
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    if (fields >> hash >> keyword >> family >> type && hash == "#" &&
+        keyword == "TYPE") {
+      types[family] = type;
+    }
+  }
+  return types;
+}
+
+// The daemon totals fold each metric by the kind recorded at its call
+// site: RSS samples are gauges, so across full diffs the folded
+// mem.rss_bytes stays one sample (at most the peak), never a sum.
+TEST_F(ServerTest, FoldedRssStaysAtMostPeakAndIsAGauge) {
+  ServiceOptions options;
+  options.result_cache = false;  // Every request runs the full pipeline.
+  StartServer(options);
+  const std::string body =
+      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(Fetch("POST", "/diff", body).status, 200);
+  }
+  const auto text = TextSamples(Fetch("GET", "/metrics").body);
+  if (text.count("mem.rss_bytes") == 0) {
+    GTEST_SKIP() << "no RSS samples on this platform";
+  }
+  ASSERT_EQ(text.count("mem.peak_rss_bytes"), 1u);
+  EXPECT_LE(std::stod(text.at("mem.rss_bytes")),
+            std::stod(text.at("mem.peak_rss_bytes")));
+  const auto types =
+      PrometheusTypes(Fetch("GET", "/metrics?format=prometheus").body);
+  ASSERT_EQ(types.count("campion_mem_rss_bytes"), 1u);
+  EXPECT_EQ(types.at("campion_mem_rss_bytes"), "gauge");
+}
+
+// Text and Prometheus render one snapshot: every non-histogram text sample
+// appears as campion_<name> with the same value, typed by its kind.
+TEST_F(ServerTest, TextAndPrometheusExposeTheSameSamples) {
+  StartServer(ServiceOptions{});
+  ASSERT_EQ(Fetch("POST", "/diff",
+                  DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper))
+                .status,
+            200);
+  ASSERT_EQ(Fetch("PUT", "/sessions/s1/running", testing::kFig1Cisco).status,
+            200);
+  const auto text = TextSamples(Fetch("GET", "/metrics").body);
+  const std::string body = Fetch("GET", "/metrics?format=prometheus").body;
+  const auto prometheus = TextSamples(body);
+  const auto types = PrometheusTypes(body);
+  std::size_t compared = 0;
+  for (const auto& [name, value] : text) {
+    if (name.rfind("server.latency.", 0) == 0 ||
+        name.rfind("server.phase.", 0) == 0) {
+      continue;  // Histogram blocks: see the label test below.
+    }
+    std::string family = "campion_" + name;
+    std::replace(family.begin(), family.end(), '.', '_');
+    ASSERT_EQ(prometheus.count(family), 1u) << family;
+    // The Prometheus scrape is the one request counted after the text one.
+    EXPECT_EQ(prometheus.at(family),
+              name == "server.requests_total"
+                  ? std::to_string(std::stoll(value) + 1)
+                  : value)
+        << name;
+    ASSERT_EQ(types.count(family), 1u) << family;
+    EXPECT_TRUE(types.at(family) == "counter" || types.at(family) == "gauge")
+        << family;
+    ++compared;
+  }
+  EXPECT_GT(compared, 20u);
+  for (const auto& [family, type] :
+       std::map<std::string, std::string>{
+           {"campion_server_requests_total", "counter"},
+           {"campion_server_template_cache_gc_reclaimed_nodes", "counter"},
+           {"campion_server_template_cache_gc_compacted_bytes", "counter"},
+           {"campion_parse_files", "counter"},
+           {"campion_server_sessions", "gauge"},
+           {"campion_server_template_cache_entries", "gauge"},
+           {"campion_server_result_cache_resident_bytes", "gauge"},
+           {"campion_bdd_mem_peak_bytes", "gauge"},
+           {"campion_bdd_unique_load_factor", "gauge"}}) {
+    ASSERT_EQ(types.count(family), 1u) << family;
+    EXPECT_EQ(types.at(family), type) << family;
+  }
+}
+
+// Every latency family label renders in both formats, observed or not.
+TEST_F(ServerTest, BothFormatsCarryEveryHistogramLabel) {
+  StartServer(ServiceOptions{});
+  const std::string text = Fetch("GET", "/metrics").body;
+  const std::string prometheus =
+      Fetch("GET", "/metrics?format=prometheus").body;
+  for (const char* endpoint :
+       {"healthz", "metrics", "diff", "batch", "sessions", "debug", "other"}) {
+    EXPECT_NE(text.find(std::string("\nserver.latency.") + endpoint +
+                        ".count "),
+              std::string::npos)
+        << endpoint;
+    EXPECT_NE(prometheus.find(
+                  std::string("campion_endpoint_duration_ns_count{endpoint=\"") +
+                  endpoint + "\"} "),
+              std::string::npos)
+        << endpoint;
+  }
+  for (const char* phase : {"parse", "template", "diff", "render"}) {
+    EXPECT_NE(text.find(std::string("\nserver.phase.") + phase + ".count "),
+              std::string::npos)
+        << phase;
+    EXPECT_NE(prometheus.find(
+                  std::string("campion_phase_duration_ns_count{phase=\"") +
+                  phase + "\"} "),
+              std::string::npos)
+        << phase;
+  }
+}
+
+// The recorder's phase breakdown is read off the request's span tree: the
+// daemon-only template_fetch and render spans, and parse as the sum of
+// the two per-file parse spans.
+TEST_F(ServerTest, FlightRecorderPhasesComeFromSpans) {
+  ServiceOptions options;
+  options.result_cache = false;
+  StartServer(options);
+  ASSERT_EQ(Fetch("POST", "/diff",
+                  DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper))
+                .status,
+            200);
+  util::JsonValue entry;
+  std::string error;
+  ASSERT_TRUE(
+      util::ParseJson(Fetch("GET", "/debug/requests/1").body, entry, &error))
+      << error;
+  const util::JsonValue* phases = entry.Find("phases");
+  ASSERT_TRUE(phases != nullptr);
+  std::map<std::string, double> span_ns;
+  for (const util::JsonValue& span :
+       entry.Find("trace")->Find("spans")->array) {
+    span_ns[span.Find("name")->string] += span.Find("duration_ns")->number;
+  }
+  EXPECT_EQ(phases->Find("parse_ns")->number, span_ns["parse"]);
+  EXPECT_EQ(phases->Find("template_ns")->number, span_ns["template_fetch"]);
+  EXPECT_EQ(phases->Find("diff_ns")->number, span_ns["config_diff"]);
+  EXPECT_EQ(phases->Find("render_ns")->number, span_ns["render"]);
+  for (const char* phase : {"parse_ns", "template_ns", "diff_ns", "render_ns"}) {
+    EXPECT_GT(phases->Find(phase)->number, 0.0) << phase;
+  }
+}
+
+// /diff, /batch, and session diffs validate their shared knobs in one
+// place; each rejection is a 400 with the same message, counted once in
+// server.errors.
+TEST_F(ServerTest, DiffKnobErrorsMatchAcrossEndpoints) {
+  StartServer(ServiceOptions{});
+  const auto expect_400 = [&](const std::string& method,
+                              const std::string& target,
+                              const std::string& body,
+                              const std::string& message) {
+    HttpClientResponse response = Fetch(method, target, body);
+    EXPECT_EQ(response.status, 400) << target;
+    EXPECT_EQ(response.body, "{\"error\":\"" + message + "\"}\n") << target;
+  };
+  const std::string c1 = JsonString(testing::kFig1Cisco);
+  const std::string c2 = JsonString(testing::kFig1Juniper);
+  const std::string vendor = "vendor must be auto, cisco, or juniper";
+  const std::string format = "format must be text or json";
+  const std::string checks = "unknown check 'nope'";
+  expect_400("POST", "/diff",
+             DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper,
+                             ",\"vendor2\":\"arista\""),
+             vendor);
+  expect_400("POST", "/diff",
+             DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper,
+                             ",\"format\":\"yaml\""),
+             format);
+  expect_400("POST", "/diff",
+             DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper,
+                             ",\"checks\":\"acls,nope\""),
+             checks);
+  const std::string pair =
+      "{\"name\":\"p\",\"config1\":" + c1 + ",\"config2\":" + c2;
+  expect_400("POST", "/batch",
+             "{\"pairs\":[" + pair + ",\"vendor1\":\"x\"}]}", vendor);
+  expect_400("POST", "/batch",
+             "{\"format\":\"yaml\",\"pairs\":[" + pair + "}]}", format);
+  expect_400("POST", "/batch",
+             "{\"checks\":\"nope\",\"pairs\":[" + pair + "}]}", checks);
+  ASSERT_EQ(Fetch("PUT", "/sessions/s1/running", testing::kFig1Cisco).status,
+            200);
+  ASSERT_EQ(
+      Fetch("PUT", "/sessions/s1/candidate", testing::kFig1Juniper).status,
+      200);
+  expect_400("PUT", "/sessions/s1/candidate?vendor=arista",
+             testing::kFig1Juniper, vendor);
+  expect_400("GET", "/sessions/s1/diff?format=yaml", "", format);
+  expect_400("GET", "/sessions/s1/diff?checks=nope", "", checks);
+  const auto text = TextSamples(Fetch("GET", "/metrics").body);
+  EXPECT_EQ(text.at("server.errors"), "9");
+  EXPECT_EQ(text.count("server.diff_requests"), 0u);
+  EXPECT_EQ(text.count("server.batch_requests"), 0u);
 }
 
 TEST_F(ServerTest, ErrorStatuses) {
