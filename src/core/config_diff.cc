@@ -84,25 +84,11 @@ util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config,
   return util::AddressFamily::kIpv4;
 }
 
-// Maps the driver-level reorder option onto a kernel sift mode; nullopt =
-// reordering off.
-std::optional<bdd::SiftMode> SiftModeFor(DiffOptions::ReorderMode mode) {
-  switch (mode) {
-    case DiffOptions::ReorderMode::kOff:
-      return std::nullopt;
-    case DiffOptions::ReorderMode::kSift:
-      return bdd::SiftMode::kVars;
-    case DiffOptions::ReorderMode::kGroupSift:
-      return bdd::SiftMode::kGroups;
-  }
-  return std::nullopt;
-}
-
 // Arms a pair manager's growth-triggered auto-sift when reordering is on.
 // Runs after SeedFrom / layout construction so the trigger baseline is the
 // seeded (already-sifted) arena, not an empty one.
 void ArmAutoSift(bdd::BddManager& mgr, const DiffOptions& options) {
-  if (std::optional<bdd::SiftMode> mode = SiftModeFor(options.reorder)) {
+  if (std::optional<bdd::SiftMode> mode = ToSiftMode(options.reorder)) {
     mgr.SetAutoSift(*mode, options.reorder_trigger_ratio);
   }
 }
@@ -198,6 +184,18 @@ std::vector<PresentedDifference> DiffAclPairImpl(
 }
 
 }  // namespace
+
+std::optional<bdd::SiftMode> ToSiftMode(DiffOptions::ReorderMode mode) {
+  switch (mode) {
+    case DiffOptions::ReorderMode::kOff:
+      return std::nullopt;
+    case DiffOptions::ReorderMode::kSift:
+      return bdd::SiftMode::kVars;
+    case DiffOptions::ReorderMode::kGroupSift:
+      return bdd::SiftMode::kGroups;
+  }
+  return std::nullopt;
+}
 
 int DiffReport::CountOf(DifferenceEntry::Kind kind) const {
   int count = 0;
@@ -329,7 +327,7 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     obs::ScopedSpan span("encode_template",
                          config1.hostname + " vs " + config2.hostname);
     template_storage.emplace(config1, config2, want_route_maps, want_acls,
-                             /*sift_witnesses=*/SiftModeFor(options.reorder)
+                             /*sift_witnesses=*/ToSiftMode(options.reorder)
                                  .has_value());
     tmpl = &*template_storage;
     if (obs::Enabled()) {
@@ -357,7 +355,7 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   // letting each pair sift privately and invalidating the template's refs
   // per manager — would re-pay the sift per pair and forfeit ref sharing.)
   if (tmpl != nullptr && !external_template) {
-    if (std::optional<bdd::SiftMode> mode = SiftModeFor(options.reorder)) {
+    if (std::optional<bdd::SiftMode> mode = ToSiftMode(options.reorder)) {
       obs::ScopedSpan span("bdd_sift",
                            config1.hostname + " vs " + config2.hostname);
       bdd::SiftResult sift = template_storage->Reorder(*mode);

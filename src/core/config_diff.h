@@ -6,9 +6,11 @@
 // difference with Present. This is the function behind Campion's
 // command-line output.
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bdd/bdd.h"
 #include "core/match_policies.h"
 #include "core/present.h"
 #include "ir/config.h"
@@ -103,6 +105,9 @@ struct DiffReport {
   bool Equivalent() const;  // No differences of any kind (warnings aside).
   std::string Render() const;
 };
+
+// The kernel sift mode a reorder option asks for; nullopt = reordering off.
+std::optional<bdd::SiftMode> ToSiftMode(DiffOptions::ReorderMode mode);
 
 DiffReport ConfigDiff(const ir::RouterConfig& config1,
                       const ir::RouterConfig& config2,

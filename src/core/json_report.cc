@@ -17,7 +17,7 @@ const char* KindName(DifferenceEntry::Kind kind) {
 }
 
 std::string Quoted(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
+  return "\"" + util::JsonEscape(text) + "\"";
 }
 
 std::string RangeArray(const std::vector<util::PrefixRange>& ranges) {
@@ -31,13 +31,8 @@ std::string RangeArray(const std::vector<util::PrefixRange>& ranges) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& text) {
-  return util::JsonEscape(text);
-}
-
 std::string ReportJsonFragment(const std::string& rendered, bool is_json) {
-  if (is_json) return rendered;
-  return "\"" + util::JsonEscape(rendered) + "\"";
+  return is_json ? rendered : Quoted(rendered);
 }
 
 std::string ReportToJson(const DiffReport& report, const std::string& router1,

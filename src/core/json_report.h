@@ -29,10 +29,6 @@ std::string ReportToJson(const DiffReport& report,
                          const std::string& router1,
                          const std::string& router2);
 
-// Escapes a string for embedding in JSON (quotes, backslashes, control
-// characters).
-std::string JsonEscape(const std::string& text);
-
 // Renders an already-formatted report body as a JSON fragment for
 // embedding in composite responses (the daemon's obs envelope and per-pair
 // /batch items): the object verbatim when the body is ReportToJson output,

@@ -27,6 +27,12 @@ std::size_t CountLines(const std::string& text) {
 
 }  // namespace
 
+ir::Vendor ParseVendor(const std::string& name) {
+  if (name == "cisco") return ir::Vendor::kCisco;
+  if (name == "juniper") return ir::Vendor::kJuniper;
+  return ir::Vendor::kUnknown;
+}
+
 ir::Vendor DetectVendor(const std::string& text) {
   // JunOS structure markers.
   int juniper_score = 0;

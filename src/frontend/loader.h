@@ -22,6 +22,10 @@ struct LoadResult {
 // signal is present.
 ir::Vendor DetectVendor(const std::string& text);
 
+// The vendor a --vendor flag or request field names: "cisco" or "juniper";
+// anything else ("auto") is kUnknown, which LoadConfig detects.
+ir::Vendor ParseVendor(const std::string& name);
+
 // Parses `text` as the given vendor; kUnknown means detect first.
 // Throws std::runtime_error if detection fails.
 LoadResult LoadConfig(const std::string& text, const std::string& filename,

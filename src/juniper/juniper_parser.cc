@@ -6,6 +6,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/community.h"
 
@@ -99,88 +100,74 @@ struct Node {
   }
 };
 
-class TreeBuilder {
- public:
-  TreeBuilder(std::vector<Token> tokens, std::vector<std::string>* diagnostics,
-              std::string filename)
-      : tokens_(std::move(tokens)),
-        diagnostics_(diagnostics),
-        filename_(std::move(filename)) {}
-
-  Node Build() {
-    Node root;
-    root.is_block = true;
-    root.first_line = 1;
-    ParseChildren(root);
-    return root;
-  }
-
- private:
-  bool Done() const { return pos_ >= tokens_.size(); }
-  const Token& Peek() const { return tokens_[pos_]; }
-
-  void ParseChildren(Node& parent) {
-    while (!Done() && Peek().text != "}") {
-      ParseStatement(parent);
+// Builds the block hierarchy. Iterative, so nesting depth costs heap
+// rather than stack: `open` holds the root and every block whose '}' has
+// not been read yet, and `statement` is the one being read inside the
+// innermost of them.
+Node BuildTree(const std::vector<Token>& tokens,
+               std::vector<std::string>* diagnostics,
+               const std::string& filename) {
+  std::vector<Node> open(1);
+  open[0].is_block = true;
+  open[0].first_line = 1;
+  std::optional<Node> statement;
+  // A statement without words (a lone ';') is dropped.
+  auto finish_statement = [&] {
+    if (!statement->words.empty()) {
+      open.back().children.push_back(std::move(*statement));
     }
-    if (!Done()) {
-      parent.last_line = Peek().line;
-      ++pos_;  // consume '}'
-    } else {
-      parent.last_line = tokens_.empty() ? 1 : tokens_.back().line;
-    }
-  }
-
-  void ParseStatement(Node& parent) {
-    Node node;
-    node.first_line = Peek().line;
-    bool in_bracket = false;
-    while (!Done()) {
-      const Token& token = Peek();
-      if (token.text == "{") {
-        ++pos_;
-        node.is_block = true;
-        ParseChildren(node);
-        break;
-      }
-      if (token.text == ";") {
-        node.last_line = token.line;
-        ++pos_;
-        break;
-      }
-      if (token.text == "[") {
-        in_bracket = true;
-        ++pos_;
-        continue;
-      }
-      if (token.text == "]") {
-        in_bracket = false;
-        ++pos_;
-        continue;
-      }
-      if (token.text == "}") {
+    statement.reset();
+  };
+  for (const Token& token : tokens) {
+    if (token.text == "}") {
+      if (statement) {
         // Missing semicolon before '}': tolerate.
-        diagnostics_->push_back(filename_ + ":" +
-                                std::to_string(token.line) +
-                                ": expected ';' before '}'");
-        node.last_line = token.line;
-        break;
+        diagnostics->push_back(filename + ":" + std::to_string(token.line) +
+                               ": expected ';' before '}'");
+        statement->last_line = token.line;
+        finish_statement();
       }
-      node.words.push_back(token.text);
-      node.last_line = token.line;
-      ++pos_;
+      open.back().last_line = token.line;
+      // A stray '}' at top level ends the configuration.
+      if (open.size() == 1) return std::move(open[0]);
+      Node block = std::move(open.back());
+      open.pop_back();
+      open.back().children.push_back(std::move(block));
+      continue;
     }
-    (void)in_bracket;
-    if (!node.words.empty() || node.is_block) {
-      parent.children.push_back(std::move(node));
+    if (!statement) {
+      statement.emplace();
+      statement->first_line = token.line;
+    }
+    if (token.text == "{") {
+      if (open.size() > kMaxBlockDepth) {
+        throw std::runtime_error(filename + ":" + std::to_string(token.line) +
+                                 ": blocks nested deeper than " +
+                                 std::to_string(kMaxBlockDepth) + " levels");
+      }
+      statement->is_block = true;
+      open.push_back(std::move(*statement));
+      statement.reset();
+    } else if (token.text == ";") {
+      statement->last_line = token.line;
+      finish_statement();
+    } else if (token.text != "[" && token.text != "]") {
+      statement->words.push_back(token.text);
+      statement->last_line = token.line;
     }
   }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-  std::vector<std::string>* diagnostics_;
-  std::string filename_;
-};
+  // End of input closes whatever is still open.
+  if (statement) finish_statement();
+  const int last_line = tokens.empty() ? 1 : tokens.back().line;
+  while (open.size() > 1) {
+    Node block = std::move(open.back());
+    open.pop_back();
+    block.last_line = last_line;
+    open.back().children.push_back(std::move(block));
+  }
+  open[0].last_line = last_line;
+  return std::move(open[0]);
+}
 
 // ---------------------------------------------------------------------------
 // IR conversion
@@ -1113,8 +1100,7 @@ ParseResult ParseJuniperConfig(const std::string& text,
                                const std::string& filename) {
   std::vector<std::string> diagnostics;
   std::vector<Token> tokens = Tokenize(text, &diagnostics, filename);
-  TreeBuilder builder(std::move(tokens), &diagnostics, filename);
-  Node root = builder.Build();
+  Node root = BuildTree(tokens, &diagnostics, filename);
   Converter converter(text, filename);
   ParseResult result = converter.Run(root);
   result.diagnostics.insert(result.diagnostics.begin(), diagnostics.begin(),

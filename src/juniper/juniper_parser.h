@@ -17,6 +17,7 @@
 //   * JunOS sends communities to BGP neighbors by default (the §5.2
 //     structural difference against Cisco's explicit send-community).
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,14 @@ struct ParseResult {
   std::vector<std::string> diagnostics;
 };
 
+// The deepest `{` block nesting the parser accepts. The hierarchy is built
+// without recursion, but the finished tree is still copied and freed
+// recursively (about 100 bytes of stack per level, under sanitizers
+// too), so deeper input is refused instead of risking a stack overflow.
+// Real JunOS hierarchies are about ten levels deep.
+inline constexpr std::size_t kMaxBlockDepth = 8192;
+
+// Throws std::runtime_error when blocks nest deeper than kMaxBlockDepth.
 ParseResult ParseJuniperConfig(const std::string& text,
                                const std::string& filename = "<input>");
 

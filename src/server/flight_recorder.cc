@@ -9,13 +9,13 @@
 
 namespace campion::server {
 
-namespace {
-
 std::string KeyHashHex(std::uint64_t hash) {
   std::ostringstream out;
   out << std::hex << std::setw(16) << std::setfill('0') << hash;
   return out.str();
 }
+
+namespace {
 
 // The summary object shared by the list and detail views.
 void AppendSummary(std::ostringstream& out, const FlightRecord& record) {

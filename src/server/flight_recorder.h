@@ -36,6 +36,9 @@ inline constexpr std::array<std::pair<const char*, const char*>, 4> kPhases{{
     {"render", "render"},
 }};
 
+// A cache key digest as the debug views print it: 16 lowercase hex digits.
+std::string KeyHashHex(std::uint64_t hash);
+
 struct FlightRecord {
   std::uint64_t id = 0;        // Assigned by the recorder, monotone from 1.
   std::string endpoint;        // "/diff" or "/sessions/<name>/diff".

@@ -23,18 +23,18 @@
 // the key: the repo's determinism contract pins the body as byte-identical
 // across all of them.
 //
-// Residency is LRU-bounded by a bytes watermark over the stored bodies +
-// keys, mirroring the template cache (never evicting the entry just
-// inserted), plus an optional entry cap.
+// Residency is bounded by the shared LRU (lru_cache.h): a bytes watermark
+// over the stored bodies + keys, plus an optional entry cap.
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "server/lru_cache.h"
+#include "util/hash.h"
 
 namespace campion::server {
 
@@ -46,13 +46,7 @@ class ResultCache {
     std::size_t max_entries = 0;  // 0 = unlimited.
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t resident_bytes = 0;
-  };
+  using Stats = LruStats;
 
   // One cached pair outcome: everything needed to replay the response
   // (body + headers) without re-running the pipeline.
@@ -69,48 +63,36 @@ class ResultCache {
     std::uint64_t template_key_hash = 0;
   };
 
-  explicit ResultCache(Options options) : options_(options) {}
+  explicit ResultCache(const Options& options)
+      : lru_(options.max_resident_bytes, options.max_entries,
+             {"diff.result_cache_hits", "diff.result_cache_misses",
+              "diff.result_cache_evictions",
+              "diff.result_cache_resident_bytes"}) {}
 
   // Looks up the full key; null on a miss. Bumps hit/miss stats. `key_hash`,
   // when non-null, receives the FNV-1a digest of the key either way.
   std::shared_ptr<const Result> Get(const std::string& key,
-                                    std::uint64_t* key_hash = nullptr);
+                                    std::uint64_t* key_hash = nullptr) {
+    if (key_hash != nullptr) *key_hash = util::Fnv1a64(key);
+    return lru_.Get(key);
+  }
 
-  // Inserts a freshly computed result (overwrites a racing duplicate —
-  // both race winners computed byte-identical bodies, so either is fine)
-  // and enforces the watermark.
-  void Put(const std::string& key, std::shared_ptr<const Result> result);
+  // Inserts a freshly computed result (a racing duplicate keeps the
+  // incumbent — both computed byte-identical bodies) and enforces the
+  // watermark.
+  void Put(std::string key, std::shared_ptr<const Result> result) {
+    const std::size_t bytes = key.size() + result->body.size() +
+                              result->content_type.size() + sizeof(Result);
+    const std::uint64_t digest = util::Fnv1a64(key);
+    lru_.Put(std::move(key), digest, std::move(result), bytes);
+  }
 
-  Stats GetStats() const;
-
-  // Per-entry debug view for `GET /debug/result_cache`, MRU first.
-  struct EntryInfo {
-    std::uint64_t key_hash = 0;
-    std::size_t resident_bytes = 0;
-    std::uint64_t hits = 0;
-    bool equivalent = false;
-    std::size_t differences = 0;
-  };
-  std::vector<EntryInfo> EntryInfos() const;
-
-  void Clear();
+  Stats GetStats() const { return lru_.Stats(); }
+  // For `GET /debug/result_cache`.
+  std::vector<LruEntry<Result>> Entries() const { return lru_.Entries(); }
 
  private:
-  struct Entry {
-    std::shared_ptr<const Result> result;
-    std::size_t resident_bytes = 0;
-    std::uint64_t key_hash = 0;
-    std::uint64_t hits = 0;
-    std::list<std::string>::iterator lru_position;
-  };
-
-  void EvictIfNeeded();  // Caller holds mutex_.
-
-  Options options_;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // Front = most recently used.
-  Stats stats_;
+  LruCache<Result> lru_;
 };
 
 }  // namespace campion::server

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -33,12 +32,6 @@ HttpResponse JsonOk(const std::string& body) {
   response.content_type = "application/json";
   response.body = body;
   return response;
-}
-
-ir::Vendor ParseVendor(const std::string& value) {
-  if (value == "cisco") return ir::Vendor::kCisco;
-  if (value == "juniper") return ir::Vendor::kJuniper;
-  return ir::Vendor::kUnknown;
 }
 
 constexpr char kVendorError[] = "vendor must be auto, cisco, or juniper";
@@ -119,9 +112,38 @@ const char* EndpointLabel(const std::string& path) {
   return "other";
 }
 
-std::string KeyHashHex(std::uint64_t hash) {
+// One cache's cumulative counters and current state, as /metrics names
+// them: `<prefix>{hits,misses,evictions}` and, as gauges,
+// `<prefix>{entries,resident_bytes}`.
+void AddCacheStats(obs::MetricsSink& view, const std::string& prefix,
+                   const LruStats& stats) {
+  view.Add(prefix + "hits", stats.hits);
+  view.Add(prefix + "misses", stats.misses);
+  view.Add(prefix + "evictions", stats.evictions);
+  view.Max(prefix + "entries", stats.entries);
+  view.Max(prefix + "resident_bytes", stats.resident_bytes);
+}
+
+// The /debug/cache and /debug/result_cache body: the cache's stats and one
+// row per resident entry, most recently used first; `fields` appends the
+// cache's own columns to each row.
+template <typename V, typename Fields>
+std::string CacheDebugJson(const LruStats& stats,
+                           const std::vector<LruEntry<V>>& entries,
+                           Fields fields) {
   std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << hash;
+  out << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
+      << ",\"evictions\":" << stats.evictions
+      << ",\"resident_bytes\":" << stats.resident_bytes << ",\"entries\":[";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const LruEntry<V>& entry = entries[i];
+    out << (i == 0 ? "" : ",") << "{\"key\":\"" << KeyHashHex(entry.key_hash)
+        << "\",\"resident_bytes\":" << entry.resident_bytes
+        << ",\"hits\":" << entry.hits;
+    fields(out, entry);
+    out << '}';
+  }
+  out << "]}\n";
   return out.str();
 }
 
@@ -156,9 +178,6 @@ DiffService::DiffService(ServiceOptions options)
       cache_([&] {
         TemplateCache::Options cache_options;
         cache_options.reorder = options_.diff.reorder;
-        cache_options.reorder_trigger_ratio =
-            options_.diff.reorder_trigger_ratio;
-        cache_options.gc = options_.gc;
         cache_options.max_resident_bytes = options_.gc_watermark_bytes;
         cache_options.max_entries = options_.cache_max_entries;
         return cache_options;
@@ -335,10 +354,10 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   frontend::LoadResult loaded1;
   frontend::LoadResult loaded2;
   try {
-    loaded1 =
-        frontend::LoadConfig(task.text1, "config1", ParseVendor(task.vendor1));
-    loaded2 =
-        frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
+    loaded1 = frontend::LoadConfig(task.text1, "config1",
+                                   frontend::ParseVendor(task.vendor1));
+    loaded2 = frontend::LoadConfig(task.text2, "config2",
+                                   frontend::ParseVendor(task.vendor2));
   } catch (const std::exception& error) {
     BumpCounter("server.errors");
     BumpCounter("server.parse_failures");
@@ -428,7 +447,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     cached->differences = outcome.differences;
     cached->template_cache = outcome.template_cache;
     cached->template_key_hash = record.template_key_hash;
-    result_cache_.Put(result_key, std::move(cached));
+    result_cache_.Put(std::move(result_key), std::move(cached));
   }
   return finish();
 }
@@ -606,21 +625,12 @@ obs::MetricsSnapshot DiffService::Telemetry() {
   view.Merge(totals_.Snapshot());
   // Current state joins as gauges; Max into the fresh sink sets them.
   const TemplateCache::Stats tc = cache_.GetStats();
-  const ResultCache::Stats rc = result_cache_.GetStats();
   view.Add("server.keepalive_reuses",
            keepalive_reuses_ ? keepalive_reuses_() : 0);
-  view.Add("server.template_cache_hits", tc.hits);
-  view.Add("server.template_cache_misses", tc.misses);
-  view.Add("server.template_cache_evictions", tc.evictions);
+  AddCacheStats(view, "server.template_cache_", tc);
   view.Add("server.template_cache_gc_reclaimed_nodes", tc.gc_reclaimed_nodes);
   view.Add("server.template_cache_gc_compacted_bytes", tc.gc_compacted_bytes);
-  view.Max("server.template_cache_entries", tc.entries);
-  view.Max("server.template_cache_resident_bytes", tc.resident_bytes);
-  view.Add("server.result_cache_hits", rc.hits);
-  view.Add("server.result_cache_misses", rc.misses);
-  view.Add("server.result_cache_evictions", rc.evictions);
-  view.Max("server.result_cache_entries", rc.entries);
-  view.Max("server.result_cache_resident_bytes", rc.resident_bytes);
+  AddCacheStats(view, "server.result_cache_", result_cache_.GetStats());
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     view.Max("server.sessions", sessions_.size());
@@ -655,41 +665,20 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
     return JsonOk(body);
   }
   if (request.path == "/debug/cache") {
-    std::ostringstream out;
-    const TemplateCache::Stats stats = cache_.GetStats();
-    out << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"resident_bytes\":" << stats.resident_bytes << ",\"entries\":[";
-    bool first = true;
-    for (const TemplateCache::EntryInfo& info : cache_.EntryInfos()) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"key\":\"" << KeyHashHex(info.key_hash)
-          << "\",\"resident_bytes\":" << info.resident_bytes
-          << ",\"hits\":" << info.hits << ",\"build_seq\":" << info.build_seq
-          << '}';
-    }
-    out << "]}\n";
-    return JsonOk(out.str());
+    return JsonOk(CacheDebugJson(
+        cache_.GetStats(), cache_.Entries(),
+        [](std::ostream& out, const auto& entry) {
+          out << ",\"build_seq\":" << entry.seq;
+        }));
   }
   if (request.path == "/debug/result_cache") {
-    std::ostringstream out;
-    const ResultCache::Stats stats = result_cache_.GetStats();
-    out << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"resident_bytes\":" << stats.resident_bytes << ",\"entries\":[";
-    bool first = true;
-    for (const ResultCache::EntryInfo& info : result_cache_.EntryInfos()) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"key\":\"" << KeyHashHex(info.key_hash)
-          << "\",\"resident_bytes\":" << info.resident_bytes
-          << ",\"hits\":" << info.hits
-          << ",\"equivalent\":" << (info.equivalent ? "true" : "false")
-          << ",\"differences\":" << info.differences << '}';
-    }
-    out << "]}\n";
-    return JsonOk(out.str());
+    return JsonOk(CacheDebugJson(
+        result_cache_.GetStats(), result_cache_.Entries(),
+        [](std::ostream& out, const auto& entry) {
+          out << ",\"equivalent\":"
+              << (entry.value->equivalent ? "true" : "false")
+              << ",\"differences\":" << entry.value->differences;
+        }));
   }
   if (request.path == "/debug/sessions") {
     std::ostringstream out;

@@ -43,7 +43,8 @@
 // and the service merges the private snapshot into the daemon totals only
 // at request completion. The only cross-request serialization
 // left is the template cache's build lock, which exists to deduplicate
-// simultaneous misses on one key, not to order requests.
+// simultaneous misses on one key, not to order requests; cache hits never
+// wait on it.
 
 #include <atomic>
 #include <cstdint>
@@ -75,9 +76,8 @@ struct ServiceOptions {
   // Cross-request template cache (off = every request builds privately,
   // exactly like the CLI).
   bool cache = true;
-  // Template-manager GC: per-template compaction after build plus the LRU
-  // byte watermark below. Off = the bench_serve A/B baseline.
-  bool gc = true;
+  // LRU byte watermark over the cached templates' resident bytes (each
+  // template is compacted after its build).
   std::size_t gc_watermark_bytes = 256 * 1024 * 1024;
   std::size_t cache_max_entries = 0;  // 0 = unlimited.
   // Incremental result cache (src/server/result_cache.h): rendered pair

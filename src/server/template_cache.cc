@@ -1,6 +1,5 @@
 #include "server/template_cache.h"
 
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -13,19 +12,6 @@
 namespace campion::server {
 
 namespace {
-
-std::optional<bdd::SiftMode> SiftModeFor(
-    core::DiffOptions::ReorderMode mode) {
-  switch (mode) {
-    case core::DiffOptions::ReorderMode::kOff:
-      return std::nullopt;
-    case core::DiffOptions::ReorderMode::kSift:
-      return bdd::SiftMode::kVars;
-    case core::DiffOptions::ReorderMode::kGroupSift:
-      return bdd::SiftMode::kGroups;
-  }
-  return std::nullopt;
-}
 
 void AppendStructuralKeys(const ir::RouterConfig& config,
                           std::set<std::string>& prefix_keys,
@@ -43,6 +29,22 @@ void AppendStructuralKeys(const ir::RouterConfig& config,
     }
   }
 }
+
+// Sum of both template managers' MemoryStats totals.
+std::size_t ResidentBytes(const encode::EncodingTemplate& tmpl) {
+  std::size_t bytes = 0;
+  if (tmpl.has_route_side()) {
+    bytes += tmpl.route_manager().MemoryStats().total_bytes;
+  }
+  if (tmpl.has_packet_side()) {
+    bytes += tmpl.packet_manager().MemoryStats().total_bytes;
+  }
+  return bytes;
+}
+
+constexpr LruMetricNames kTemplateMetrics{
+    "encode.template_cache_hit", "encode.template_cache_miss",
+    "encode.template_cache_eviction", "encode.template_cache_resident_bytes"};
 
 }  // namespace
 
@@ -73,148 +75,48 @@ std::string TemplateCacheKey(const ir::RouterConfig& config1,
   return key.str();
 }
 
-std::size_t TemplateCache::ResidentBytes(
-    const encode::EncodingTemplate& tmpl) {
-  std::size_t bytes = 0;
-  if (tmpl.has_route_side()) {
-    bytes += tmpl.route_manager().MemoryStats().total_bytes;
-  }
-  if (tmpl.has_packet_side()) {
-    bytes += tmpl.packet_manager().MemoryStats().total_bytes;
-  }
-  return bytes;
-}
+TemplateCache::TemplateCache(const Options& options)
+    : sift_mode_(core::ToSiftMode(options.reorder)),
+      lru_(options.max_resident_bytes, options.max_entries, kTemplateMetrics) {}
 
 std::shared_ptr<const encode::EncodingTemplate> TemplateCache::Get(
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
     bool* cache_hit, std::uint64_t* key_hash) {
-  const std::string key = TemplateCacheKey(config1, config2);
+  std::string key = TemplateCacheKey(config1, config2);
   const std::uint64_t digest = util::Fnv1a64(key);
   if (key_hash != nullptr) *key_hash = digest;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      lru_.erase(it->second.lru_position);
-      lru_.push_front(key);
-      it->second.lru_position = lru_.begin();
-      ++stats_.hits;
-      ++it->second.hits;
-      if (cache_hit != nullptr) *cache_hit = true;
-      obs::Count("encode.template_cache_hit");
-      return it->second.tmpl;
-    }
-  }
-  // One build lock for all misses: requests run the pipeline concurrently
-  // (each with its own metrics sink), so two simultaneous misses on the
-  // same key are a real possibility — serializing the build keeps them from
-  // duplicating the most expensive operation the daemon performs.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (auto it = entries_.find(key); it != entries_.end()) {
-    // Lost a race between the two lock scopes.
-    lru_.erase(it->second.lru_position);
-    lru_.push_front(key);
-    it->second.lru_position = lru_.begin();
-    ++stats_.hits;
-    ++it->second.hits;
-    if (cache_hit != nullptr) *cache_hit = true;
-    obs::Count("encode.template_cache_hit");
-    return it->second.tmpl;
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  ++stats_.misses;
-  obs::Count("encode.template_cache_miss");
-
-  const std::optional<bdd::SiftMode> sift_mode = SiftModeFor(options_.reorder);
-  auto tmpl = std::make_shared<encode::EncodingTemplate>(
-      config1, config2, /*route_side=*/true, /*packet_side=*/true,
-      /*sift_witnesses=*/sift_mode.has_value());
-  {
+  // Build, sift once, compact: the resident copy holds only live nodes.
+  auto build = [&] {
+    auto tmpl = std::make_shared<encode::EncodingTemplate>(
+        config1, config2, /*route_side=*/true, /*packet_side=*/true,
+        /*sift_witnesses=*/sift_mode_.has_value());
     obs::ScopedSpan span("encode_template_cache_build",
                          config1.hostname + " vs " + config2.hostname);
-    if (sift_mode.has_value()) {
-      bdd::SiftResult sift = tmpl->Reorder(*sift_mode);
+    if (sift_mode_.has_value()) {
+      bdd::SiftResult sift = tmpl->Reorder(*sift_mode_);
       span.AddAttr("sift_passes", static_cast<double>(sift.passes));
       span.AddAttr("sift_swaps", static_cast<double>(sift.swaps));
     }
-    if (options_.gc) {
-      bdd::GcResult gc = tmpl->Compact();
-      stats_.gc_reclaimed_nodes += gc.reclaimed;
-      if (gc.arena_bytes_before > gc.arena_bytes_after) {
-        stats_.gc_compacted_bytes +=
-            gc.arena_bytes_before - gc.arena_bytes_after;
-      }
-      span.AddAttr("gc_reclaimed_nodes", static_cast<double>(gc.reclaimed));
-      obs::Count("bdd.gc_runs", 1.0);
-      obs::Count("bdd.gc_reclaimed_nodes", static_cast<double>(gc.reclaimed));
+    bdd::GcResult gc = tmpl->Compact();
+    gc_reclaimed_nodes_ += gc.reclaimed;
+    if (gc.arena_bytes_before > gc.arena_bytes_after) {
+      gc_compacted_bytes_ += gc.arena_bytes_before - gc.arena_bytes_after;
     }
-  }
-
-  Entry entry;
-  entry.tmpl = tmpl;
-  entry.resident_bytes = ResidentBytes(*tmpl);
-  entry.key_hash = digest;
-  entry.build_seq = ++build_counter_;
-  lru_.push_front(key);
-  entry.lru_position = lru_.begin();
-  stats_.resident_bytes += entry.resident_bytes;
-  entries_.emplace(key, std::move(entry));
-  stats_.entries = entries_.size();
-  EvictIfNeeded();
-  obs::MaxGauge("encode.template_cache_resident_bytes",
-                static_cast<double>(stats_.resident_bytes));
+    span.AddAttr("gc_reclaimed_nodes", static_cast<double>(gc.reclaimed));
+    obs::Count("bdd.gc_runs", 1.0);
+    obs::Count("bdd.gc_reclaimed_nodes", static_cast<double>(gc.reclaimed));
+    return std::pair(tmpl, ResidentBytes(*tmpl));
+  };
+  bool hit = false;
+  std::shared_ptr<const encode::EncodingTemplate> tmpl =
+      lru_.GetOrBuild(std::move(key), digest, build, &hit);
+  if (cache_hit != nullptr) *cache_hit = hit;
   return tmpl;
 }
 
-void TemplateCache::EvictIfNeeded() {
-  auto over_limit = [this] {
-    if (options_.max_entries != 0 && entries_.size() > options_.max_entries) {
-      return true;
-    }
-    return options_.gc && options_.max_resident_bytes != 0 &&
-           stats_.resident_bytes > options_.max_resident_bytes;
-  };
-  // Never evict the entry just inserted: a watermark smaller than one
-  // template must still serve the current request.
-  while (entries_.size() > 1 && over_limit()) {
-    const std::string& victim = lru_.back();
-    auto it = entries_.find(victim);
-    stats_.resident_bytes -= it->second.resident_bytes;
-    entries_.erase(it);
-    lru_.pop_back();
-    ++stats_.evictions;
-    obs::Count("encode.template_cache_eviction");
-  }
-  stats_.entries = entries_.size();
-}
-
 TemplateCache::Stats TemplateCache::GetStats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::vector<TemplateCache::EntryInfo> TemplateCache::EntryInfos() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<EntryInfo> infos;
-  infos.reserve(entries_.size());
-  for (const std::string& key : lru_) {  // MRU first.
-    auto it = entries_.find(key);
-    EntryInfo info;
-    info.key_hash = it->second.key_hash;
-    info.resident_bytes = it->second.resident_bytes;
-    info.hits = it->second.hits;
-    info.build_seq = it->second.build_seq;
-    infos.push_back(info);
-  }
-  return infos;
-}
-
-void TemplateCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  stats_.entries = 0;
-  stats_.resident_bytes = 0;
+  return {lru_.Stats(), gc_reclaimed_nodes_.load(),
+          gc_compacted_bytes_.load()};
 }
 
 }  // namespace campion::server

@@ -29,25 +29,25 @@
 // template came from the pair that built it; they only shaped the variable
 // order, and every order yields the same report.
 //
-// Residency is bounded two ways: per-template compaction above, and an LRU
-// byte watermark across entries — when the resident total (template
-// manager MemoryStats) exceeds `max_resident_bytes`, least-recently-used
-// entries are dropped (their templates die when the last in-flight request
-// releases its shared_ptr). `bench_serve` demonstrates the resulting flat
-// memory profile over 100+ distinct-pair requests.
+// Residency is bounded two ways: per-template compaction above, and the
+// shared LRU (lru_cache.h) over the summed resident bytes of the template
+// managers (MemoryStats) and, optionally, the entry count. `bench_serve`
+// demonstrates the resulting flat memory profile over 100+ distinct-pair
+// requests.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "bdd/bdd.h"
 #include "core/config_diff.h"
 #include "encode/encoding_template.h"
 #include "ir/config.h"
+#include "server/lru_cache.h"
 
 namespace campion::server {
 
@@ -63,35 +63,23 @@ std::string TemplateCacheKey(const ir::RouterConfig& config1,
 class TemplateCache {
  public:
   struct Options {
-    // Sift mode applied once per cached template at build time
-    // (DiffOptions::ReorderMode mapped through the same helper ConfigDiff
-    // uses). kOff skips the sift.
+    // Sift mode applied once per cached template at build time. kOff
+    // skips the sift.
     core::DiffOptions::ReorderMode reorder =
         core::DiffOptions::ReorderMode::kOff;
-    double reorder_trigger_ratio = 2.0;
-    // Compact template managers after build (EncodingTemplate::Compact)
-    // and enforce the byte watermark. Off = the A/B baseline: templates
-    // keep their construction garbage and nothing is ever evicted.
-    bool gc = true;
-    // LRU eviction watermark over the summed resident bytes of all cached
-    // templates. 0 = unlimited. Only enforced when `gc` is on.
+    // LRU bounds: summed resident bytes of all cached templates and the
+    // entry count. 0 = unbounded.
     std::size_t max_resident_bytes = 256 * 1024 * 1024;
-    // Hard cap on entries (0 = unlimited), independent of `gc`.
     std::size_t max_entries = 0;
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t resident_bytes = 0;
+  struct Stats : LruStats {
     // Cumulative GcResult tallies from per-template compactions.
     std::uint64_t gc_reclaimed_nodes = 0;
     std::uint64_t gc_compacted_bytes = 0;
   };
 
-  explicit TemplateCache(Options options) : options_(options) {}
+  explicit TemplateCache(const Options& options);
 
   // Returns the cached template for this pair's key, building it on a
   // miss. `cache_hit`, when non-null, reports which happened; `key_hash`,
@@ -106,42 +94,16 @@ class TemplateCache {
       bool* cache_hit = nullptr, std::uint64_t* key_hash = nullptr);
 
   Stats GetStats() const;
-
-  // Per-entry debug view for `GET /debug/cache`: one row per resident
-  // template, most-recently-used first.
-  struct EntryInfo {
-    std::uint64_t key_hash = 0;     // FNV-1a digest of the canonical key.
-    std::size_t resident_bytes = 0;
-    std::uint64_t hits = 0;         // Lookups served by this entry.
-    std::uint64_t build_seq = 0;    // Monotone build counter (1 = oldest
-                                    // build since daemon start) — a clock-
-                                    // free stand-in for age.
-  };
-  std::vector<EntryInfo> EntryInfos() const;
-
-  // Drops every entry (templates survive while requests hold them).
-  void Clear();
+  // For `GET /debug/cache`; `seq` is the entry's build order.
+  std::vector<LruEntry<encode::EncodingTemplate>> Entries() const {
+    return lru_.Entries();
+  }
 
  private:
-  struct Entry {
-    std::shared_ptr<const encode::EncodingTemplate> tmpl;
-    std::size_t resident_bytes = 0;
-    std::uint64_t key_hash = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t build_seq = 0;
-    std::list<std::string>::iterator lru_position;
-  };
-
-  // Sum of both template managers' MemoryStats totals.
-  static std::size_t ResidentBytes(const encode::EncodingTemplate& tmpl);
-  void EvictIfNeeded();  // Caller holds mutex_.
-
-  Options options_;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // Front = most recently used.
-  Stats stats_;
-  std::uint64_t build_counter_ = 0;
+  const std::optional<bdd::SiftMode> sift_mode_;
+  LruCache<encode::EncodingTemplate> lru_;
+  std::atomic<std::uint64_t> gc_reclaimed_nodes_{0};
+  std::atomic<std::uint64_t> gc_compacted_bytes_{0};
 };
 
 }  // namespace campion::server

@@ -77,12 +77,6 @@ struct Options {
   bool batch = false;
 };
 
-campion::ir::Vendor ParseVendor(const std::string& value) {
-  if (value == "cisco") return campion::ir::Vendor::kCisco;
-  if (value == "juniper") return campion::ir::Vendor::kJuniper;
-  return campion::ir::Vendor::kUnknown;
-}
-
 bool ParseChecks(const std::string& list, campion::core::DiffOptions* checks) {
   // Reset only the check toggles: --checks composes with the other
   // DiffOptions flags (--threads, --encoding_template) in any order.
@@ -241,9 +235,11 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
       *exit_code = 0;
       return false;
     } else if (arg.rfind("--vendor1=", 0) == 0) {
-      options->vendor1 = ParseVendor(value_of("--vendor1="));
+      options->vendor1 =
+          campion::frontend::ParseVendor(value_of("--vendor1="));
     } else if (arg.rfind("--vendor2=", 0) == 0) {
-      options->vendor2 = ParseVendor(value_of("--vendor2="));
+      options->vendor2 =
+          campion::frontend::ParseVendor(value_of("--vendor2="));
     } else if (arg.rfind("--checks=", 0) == 0) {
       if (!ParseChecks(value_of("--checks="), &options->checks)) return false;
     } else if (arg.rfind("--route-map=", 0) == 0) {

@@ -24,10 +24,8 @@
 //   --reorder=off|sift|group_sift  One-time template sift per cache entry
 //                            (default sift: the daemon amortizes it).
 //   --reorder_trigger_ratio=R  Pair-manager auto-sift trigger (min 1.1).
-//   --gc=on|off              Template compaction + resident-byte watermark
-//                            (default on).
-//   --gc_watermark_mb=N      Resident template bytes before LRU eviction
-//                            (default 256).
+//   --gc_watermark_mb=N      Resident bytes of the cached (compacted)
+//                            templates before LRU eviction (default 256).
 //   --flight_recorder=on|off Per-request flight recorder behind
 //                            /debug/requests (default on).
 //   --flight_recorder_entries=N  Ring capacity: last N diff executions
@@ -99,12 +97,10 @@ void PrintUsage(std::ostream& out) {
          "                  auto-sift a pair manager when its live node\n"
          "                  count grows past R x the count at the last\n"
          "                  sift (default 2.0, min 1.1)\n"
-         "  --gc=on|off     BDD arena mark-and-compact GC for cached\n"
-         "                  templates plus the resident-byte watermark\n"
-         "                  (default on)\n"
          "  --gc_watermark_mb=N\n"
-         "                  resident template bytes before least-recently-\n"
-         "                  used cache eviction (default 256)\n"
+         "                  resident bytes of the cached templates (each\n"
+         "                  mark-and-compacted after its build) before\n"
+         "                  least-recently-used eviction (default 256)\n"
          "  --flight_recorder=on|off\n"
          "                  record the last N diff executions (wall time,\n"
          "                  phase breakdown, cache disposition) for\n"
@@ -239,10 +235,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
         return false;
       }
       options->service.diff.reorder_trigger_ratio = ratio;
-    } else if (arg.rfind("--gc=", 0) == 0) {
-      if (!ParseOnOff(value_of("--gc="), "--gc", &options->service.gc)) {
-        return false;
-      }
     } else if (arg.rfind("--gc_watermark_mb=", 0) == 0) {
       if (!ParseUnsigned(value_of("--gc_watermark_mb="), "--gc_watermark_mb",
                          &number)) {

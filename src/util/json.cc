@@ -93,8 +93,13 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) return Fail("nesting too deep");
+      ++depth_;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.type = JsonValue::Type::kString;
       return ParseString(out.string);
@@ -197,6 +202,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // Open arrays/objects around pos_.
 };
 
 }  // namespace

@@ -50,9 +50,14 @@ struct JsonValue {
   double NumberOr(const std::string& key, double fallback) const;
 };
 
-// Parses `text` into `out`. Returns false on malformed input or trailing
-// garbage; `error`, when non-null, receives a one-line description with a
-// byte offset.
+// The deepest array/object nesting ParseJson accepts. The reader recurses
+// once per level, so the bound keeps hostile input (the daemon parses
+// request bodies with it) from exhausting the stack.
+inline constexpr std::size_t kMaxJsonDepth = 512;
+
+// Parses `text` into `out`. Returns false on malformed input, trailing
+// garbage, or nesting deeper than kMaxJsonDepth; `error`, when non-null,
+// receives a one-line description with a byte offset.
 bool ParseJson(const std::string& text, JsonValue& out,
                std::string* error = nullptr);
 

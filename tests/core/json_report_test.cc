@@ -3,17 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "tests/testdata.h"
+#include "util/json.h"
 
 namespace campion::core {
 namespace {
 
 TEST(JsonEscapeTest, EscapesSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(JsonEscape("a\tb"), "a\\tb");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(util::JsonEscape("plain"), "plain");
+  EXPECT_EQ(util::JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(util::JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(util::JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(util::JsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(util::JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(ReportToJsonTest, EquivalentReport) {

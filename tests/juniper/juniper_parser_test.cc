@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace campion::juniper {
 namespace {
 
@@ -12,6 +15,35 @@ using util::PrefixRange;
 
 ir::RouterConfig Parse(const std::string& text) {
   return ParseJuniperConfig(text, "test.conf").config;
+}
+
+std::string NestedSystemBlocks(std::size_t depth) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += "system {\n";
+  return text + std::string(depth, '}');
+}
+
+TEST(JuniperParserTest, NestingUpToTheCapParses) {
+  ParseResult result;
+  EXPECT_NO_THROW(
+      result = ParseJuniperConfig(NestedSystemBlocks(kMaxBlockDepth)));
+  EXPECT_EQ(result.config.vendor, ir::Vendor::kJuniper);
+}
+
+TEST(JuniperParserTest, NestingPastTheCapThrowsInsteadOfOverflowingTheStack) {
+  try {
+    ParseJuniperConfig(NestedSystemBlocks(kMaxBlockDepth + 1), "deep.conf");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "deep.conf:" + std::to_string(kMaxBlockDepth + 1) +
+                  ": blocks nested deeper than " +
+                  std::to_string(kMaxBlockDepth) + " levels");
+  }
+  // 100k levels: deep enough to overflow any stack if the tree were
+  // built or freed recursively without the cap.
+  EXPECT_THROW(ParseJuniperConfig(NestedSystemBlocks(100000)),
+               std::runtime_error);
 }
 
 TEST(JuniperParserTest, HostnameAndVendor) {

@@ -828,5 +828,28 @@ TEST_F(ServerTest, ErrorStatuses) {
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 
+// Bodies nested deep enough to overflow the stack of a recursive parser:
+// nested JSON is refused as malformed, nested JunOS blocks as an
+// unparseable config, and the daemon keeps serving.
+TEST_F(ServerTest, DeeplyNestedBodiesFailCleanly) {
+  StartServer(ServiceOptions{});
+  const std::string brackets(400 * 1024, '[');
+  HttpClientResponse json = Fetch("POST", "/diff", brackets);
+  EXPECT_EQ(json.status, 400);
+  EXPECT_NE(json.body.find("nesting too deep"), std::string::npos)
+      << json.body;
+  EXPECT_EQ(Fetch("POST", "/batch", brackets).status, 400);
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "system {\n";
+  HttpClientResponse junos = Fetch(
+      "POST", "/diff",
+      DiffRequestBody(deep, testing::kFig1Juniper,
+                      ",\"vendor1\":\"juniper\""));
+  EXPECT_EQ(junos.status, 422);
+  EXPECT_NE(junos.body.find("blocks nested deeper than"), std::string::npos)
+      << junos.body;
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
 }  // namespace
 }  // namespace campion::server

@@ -153,6 +153,18 @@ TEST_F(CliTest, MissingFileFails) {
   EXPECT_NE(result.output.find("error"), std::string::npos);
 }
 
+TEST_F(CliTest, OverlyNestedJunosFailsCleanly) {
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "system {\n";
+  Write("deep.conf", deep);
+  RunResult result = RunCli("--vendor1=juniper " + Path("deep.conf") + " " +
+                            Path("juniper.conf"));
+  EXPECT_EQ(result.exit_code, 1);  // A parse error, not a signal.
+  EXPECT_NE(result.output.find("blocks nested deeper than"),
+            std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, BatchMode) {
   std::filesystem::create_directories(dir_ / "left");
   std::filesystem::create_directories(dir_ / "right");

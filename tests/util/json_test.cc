@@ -94,6 +94,33 @@ TEST(JsonTest, ErrorPointerIsOptional) {
   EXPECT_FALSE(ParseJson("{", value));  // must not crash with null error.
 }
 
+TEST(JsonTest, NestingUpToTheBoundParses) {
+  const std::string arrays = std::string(kMaxJsonDepth, '[') +
+                             std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseOrDie(arrays).IsArray());
+  std::string objects;
+  for (std::size_t i = 0; i < kMaxJsonDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxJsonDepth, '}');
+  EXPECT_TRUE(ParseOrDie(objects).IsObject());
+}
+
+TEST(JsonTest, NestingPastTheBoundFailsInsteadOfOverflowingTheStack) {
+  const std::string too_deep =
+      "nesting too deep at byte " + std::to_string(kMaxJsonDepth);
+  JsonValue value;
+  std::string error;
+  EXPECT_FALSE(ParseJson(std::string(kMaxJsonDepth + 1, '['), value, &error));
+  EXPECT_EQ(error, too_deep);
+  // 400 KB of '[': deep enough to overflow any stack if the reader
+  // recursed once per byte unchecked.
+  EXPECT_FALSE(ParseJson(std::string(400 * 1024, '['), value, &error));
+  EXPECT_EQ(error, too_deep);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(ParseJson(objects, value, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
 TEST(JsonTest, JsonNumberSpellsIntegersWithoutDecimalPoint) {
   EXPECT_EQ(JsonNumber(42.0), "42");
   EXPECT_EQ(JsonNumber(-7.0), "-7");
