@@ -5,9 +5,12 @@
 // comparable to the diff time. We print the measured diff and parse times
 // for the same sweep (absolute numbers differ with hardware; the shape —
 // superlinear-but-tractable growth, parse comparable to diff — is the
-// reproduced result).
+// reproduced result), recorded as `v{4,6}_diff_seconds_<rules>` and
+// `v{4,6}_parse_seconds_<rules>`.
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "cisco/cisco_parser.h"
@@ -31,38 +34,50 @@ double DiffSeconds(const campion::ir::Acl& acl1,
   return std::chrono::duration<double>(stop - start).count();
 }
 
-void PrintSweep() {
-  campion::util::TextTable table({"Rules", "Injected diffs", "Found diffs",
+// Parse time: unparse both ACLs to native configs, then re-parse — the
+// analogue of the paper's Batfish parse-time comparison.
+double ParseSeconds(const campion::gen::GeneratedAclPair& pair) {
+  auto cisco_config = campion::gen::WrapAclInConfig(
+      pair.acl1, "gw-c", campion::ir::Vendor::kCisco);
+  auto juniper_config = campion::gen::WrapAclInConfig(
+      pair.acl2, "gw-j", campion::ir::Vendor::kJuniper);
+  std::string cisco_text = campion::cisco::UnparseCiscoConfig(cisco_config);
+  std::string juniper_text =
+      campion::juniper::UnparseJuniperConfig(juniper_config);
+  auto start = std::chrono::steady_clock::now();
+  auto parsed_cisco = campion::cisco::ParseCiscoConfig(cisco_text);
+  auto parsed_juniper = campion::juniper::ParseJuniperConfig(juniper_text);
+  auto stop = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(parsed_cisco);
+  benchmark::DoNotOptimize(parsed_juniper);
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+// Runs the sweep for one family, recording `<tag>_diff_seconds_<rules>` and
+// `<tag>_parse_seconds_<rules>`, and returns the rendered table.
+std::string Sweep(campion::util::AddressFamily family,
+                  const std::vector<int>& rule_counts) {
+  const bool v4 = family == campion::util::AddressFamily::kIpv4;
+  const std::string tag = v4 ? "v4" : "v6";
+  campion::util::TextTable table({v4 ? "Rules" : "Rules (IPv6)",
+                                  "Injected diffs", "Found diffs",
                                   "SemanticDiff (s)", "Parse both (s)"});
-  for (int rules : {100, 500, 1000, 5000, 10000}) {
+  auto& metrics = campion::benchutil::BenchMetrics::Instance();
+  for (int rules : rule_counts) {
     campion::gen::AclGenOptions options;
     options.rules = rules;
     options.differences = 10;
     options.seed = 42;
+    options.family = family;
     campion::gen::GeneratedAclPair pair = campion::gen::GenerateAclPair(options);
 
     std::size_t found = 0;
     double diff_seconds = DiffSeconds(pair.acl1, pair.acl2, &found);
-    campion::benchutil::BenchMetrics::Instance().Record(
-        "v4_diff_seconds_" + std::to_string(rules), diff_seconds);
-
-    // Parse time: unparse both ACLs to native configs, then re-parse —
-    // the analogue of the paper's Batfish parse-time comparison.
-    auto cisco_config = campion::gen::WrapAclInConfig(
-        pair.acl1, "gw-c", campion::ir::Vendor::kCisco);
-    auto juniper_config = campion::gen::WrapAclInConfig(
-        pair.acl2, "gw-j", campion::ir::Vendor::kJuniper);
-    std::string cisco_text = campion::cisco::UnparseCiscoConfig(cisco_config);
-    std::string juniper_text =
-        campion::juniper::UnparseJuniperConfig(juniper_config);
-    auto start = std::chrono::steady_clock::now();
-    auto parsed_cisco = campion::cisco::ParseCiscoConfig(cisco_text);
-    auto parsed_juniper = campion::juniper::ParseJuniperConfig(juniper_text);
-    auto stop = std::chrono::steady_clock::now();
-    double parse_seconds =
-        std::chrono::duration<double>(stop - start).count();
-    benchmark::DoNotOptimize(parsed_cisco);
-    benchmark::DoNotOptimize(parsed_juniper);
+    double parse_seconds = ParseSeconds(pair);
+    metrics.Record(tag + "_diff_seconds_" + std::to_string(rules),
+                   diff_seconds);
+    metrics.Record(tag + "_parse_seconds_" + std::to_string(rules),
+                   parse_seconds);
 
     char diff_buffer[32];
     char parse_buffer[32];
@@ -71,33 +86,21 @@ void PrintSweep() {
     table.AddRow({std::to_string(rules), "10", std::to_string(found),
                   diff_buffer, parse_buffer});
   }
-  std::cout << table.Render();
+  return table.Render();
+}
+
+void PrintSweep() {
+  std::cout << Sweep(campion::util::AddressFamily::kIpv4,
+                     {100, 500, 1000, 5000, 10000});
   std::cout << "\nPaper (2.2 GHz): 1000 rules < 1 s; 10,000 rules ~15 s; "
                "Batfish parse ~13 s for the 10,000 case.\n";
 
   // The same sweep on IPv6 ACLs: the symbolic address fields widen from 32
   // to 128 bits (the paper's experiment is v4-only; this quantifies the
   // width-parametric encoding's cost on the same rule counts).
-  campion::util::TextTable table6({"Rules (IPv6)", "Injected diffs",
-                                   "Found diffs", "SemanticDiff (s)"});
-  for (int rules : {100, 500, 1000, 5000}) {
-    campion::gen::AclGenOptions options;
-    options.rules = rules;
-    options.differences = 10;
-    options.seed = 42;
-    options.family = campion::util::AddressFamily::kIpv6;
-    campion::gen::GeneratedAclPair pair =
-        campion::gen::GenerateAclPair(options);
-    std::size_t found = 0;
-    double diff_seconds = DiffSeconds(pair.acl1, pair.acl2, &found);
-    campion::benchutil::BenchMetrics::Instance().Record(
-        "v6_diff_seconds_" + std::to_string(rules), diff_seconds);
-    char diff_buffer[32];
-    snprintf(diff_buffer, sizeof(diff_buffer), "%.3f", diff_seconds);
-    table6.AddRow({std::to_string(rules), "10", std::to_string(found),
-                   diff_buffer});
-  }
-  std::cout << "\n" << table6.Render();
+  std::cout << "\n"
+            << Sweep(campion::util::AddressFamily::kIpv6,
+                     {100, 500, 1000, 5000});
 }
 
 void BM_SemanticDiffAcl(benchmark::State& state) {

@@ -36,6 +36,7 @@ run bench_reorder
 run bench_serve
 run bench_fleet
 run bench_scalability_acl
+run bench_headerlocalize
 
 # Trace capture: one serial run of the committed university-core pair.
 # --threads=1 plus the deterministic trace structure make the file
@@ -131,4 +132,5 @@ echo "stdout parity: OK (dual-stack report byte-identical at 1/4 threads, templa
 
 echo
 echo "Wrote BENCH_bdd.json, BENCH_full_pipeline.json, BENCH_reorder.json," \
-     "BENCH_serve.json, BENCH_fleet.json, BENCH_scalability_acl.json, and $TRACE"
+     "BENCH_serve.json, BENCH_fleet.json, BENCH_scalability_acl.json," \
+     "BENCH_headerlocalize.json, and $TRACE"

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -84,6 +85,19 @@ util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config,
   return util::AddressFamily::kIpv4;
 }
 
+// The address family a route-map pair diffs over: IPv6 iff either side's
+// map matches an IPv6 prefix list.
+util::AddressFamily PairFamily(const ir::RouterConfig& config1,
+                               const ir::RouteMap& map1,
+                               const ir::RouterConfig& config2,
+                               const ir::RouteMap& map2) {
+  util::AddressFamily family = RouteMapPairFamily(config1, map1);
+  if (family == util::AddressFamily::kIpv4) {
+    family = RouteMapPairFamily(config2, map2);
+  }
+  return family;
+}
+
 // Arms a pair manager's growth-triggered auto-sift when reordering is on.
 // Runs after SeedFrom / layout construction so the trigger baseline is the
 // seeded (already-sifted) arena, not an empty one.
@@ -93,12 +107,18 @@ void ArmAutoSift(bdd::BddManager& mgr, const DiffOptions& options) {
   }
 }
 
+// The route-map localization DAGs of one comparison, one per address family
+// its pairs diff over: built on the main thread before the pair fan-out and
+// only read by the pair tasks.
+using LocalizeDags = std::map<util::AddressFamily, PrefixRangeDag>;
+
 std::vector<PresentedDifference> DiffRouteMapPairImpl(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2,
     std::vector<std::string>* warnings,
     const encode::EncodingTemplate* tmpl = nullptr,
-    const DiffOptions& options = {}) {
+    const DiffOptions& options = {},
+    const LocalizeDags* dags = nullptr) {
   ir::RouteMap fallback = PassThroughMap();
   const ir::RouteMap* map1 = ResolveMap(config1, name1, fallback, warnings);
   const ir::RouteMap* map2 = ResolveMap(config2, name2, fallback, warnings);
@@ -108,10 +128,7 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   // An IPv6 pair diffs over the 128-bit advertisement space. The shared
   // template's layouts are IPv4, so v6 pairs build from scratch — template
   // on and off are trivially identical for them.
-  util::AddressFamily family = RouteMapPairFamily(config1, *map1);
-  if (family == util::AddressFamily::kIpv4) {
-    family = RouteMapPairFamily(config2, *map2);
-  }
+  util::AddressFamily family = PairFamily(config1, *map1, config2, *map2);
   if (family != util::AddressFamily::kIpv4) tmpl = nullptr;
 
   // One manager per pair keeps arenas small and lifetimes obvious. With a
@@ -135,9 +152,22 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
       SemanticDiffRouteMaps(*layout, config1, *map1, config2, *map2, tmpl);
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
-  for (const auto& diff : diffs) {
-    presented.push_back(PresentRouteMapDifference(
-        *layout, diff, config1, config2, map1->name, map2->name));
+  if (!diffs.empty()) {
+    // The comparison's shared DAG when ConfigDiff built one; a standalone
+    // pair builds its own.
+    std::optional<PrefixRangeDag> own_dag;
+    const PrefixRangeDag* dag = nullptr;
+    if (dags != nullptr && dags->contains(family)) {
+      dag = &dags->at(family);
+    } else {
+      dag = &own_dag.emplace(RouteMapRangeDag(config1, config2, family));
+    }
+    HeaderLocalizer localizer = RouteMapLocalizer(*layout, *dag);
+    for (const auto& diff : diffs) {
+      presented.push_back(PresentRouteMapDifference(*layout, localizer, diff,
+                                                    config1, config2,
+                                                    map1->name, map2->name));
+    }
   }
   span.AddAttr("differences", static_cast<double>(presented.size()));
   obs::Count("diff.route_map_pairs");
@@ -173,9 +203,12 @@ std::vector<PresentedDifference> DiffAclPairImpl(
       SemanticDiffAcls(*layout, *acl1, *acl2, {}, tmpl);
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
-  for (const auto& diff : diffs) {
-    presented.push_back(
-        PresentAclDifference(*layout, diff, *acl1, *acl2, config1, config2));
+  if (!diffs.empty()) {
+    AclLocalizers localizers(*layout, *acl1, *acl2);
+    for (const auto& diff : diffs) {
+      presented.push_back(PresentAclDifference(*layout, localizers, diff,
+                                               *acl1, *acl2, config1, config2));
+    }
   }
   span.AddAttr("differences", static_cast<double>(presented.size()));
   obs::Count("diff.acl_pairs");
@@ -383,6 +416,28 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     }
   }
 
+  // Localize once per comparison: build one DAG for each address family
+  // the route-map pairs diff over, on the main thread (its span lands at a
+  // fixed position in the trace), and share it read-only with every pair,
+  // as the template is shared. Each pair task keeps its own localizer, so
+  // node BDDs are still encoded in the pair's own manager.
+  LocalizeDags dags;
+  if (want_route_maps) {
+    auto add_dag = [&](const std::string& name1, const std::string& name2) {
+      ir::RouteMap fallback = PassThroughMap();
+      util::AddressFamily family = PairFamily(
+          config1, *ResolveMap(config1, name1, fallback, nullptr), config2,
+          *ResolveMap(config2, name2, fallback, nullptr));
+      if (!dags.contains(family)) {
+        dags.emplace(family, RouteMapRangeDag(config1, config2, family));
+      }
+    };
+    for (const auto& pair : pairing.route_maps) add_dag(pair.name1, pair.name2);
+    for (const auto& pair : pairing.redistributions) {
+      add_dag(pair.name1, pair.name2);
+    }
+  }
+
   // The semantic checks are the expensive part (each pair builds and
   // compares BDDs), and every pair is independent: each task constructs its
   // own BddManager and layout, so tasks share no mutable state. Fan the
@@ -403,11 +458,11 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
       if (!seen_pairs.insert({pair.name1, pair.name2}).second) continue;
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, &options, pair,
+           [&config1, &config2, &options, &dags, pair,
             tmpl](std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, tmpl, options);
+                                      task_warnings, tmpl, options, &dags);
              for (auto& d : diffs) {
                d.title += " (neighbor " + pair.neighbor.ToString() + ", " +
                           ToString(pair.direction) + ")";
@@ -418,11 +473,11 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     for (const auto& pair : pairing.redistributions) {
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, &options, pair,
+           [&config1, &config2, &options, &dags, pair,
             tmpl](std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, tmpl, options);
+                                      task_warnings, tmpl, options, &dags);
              for (auto& d : diffs) {
                d.title += " (redistribution of " + ir::ToString(pair.from) +
                           " into " + ir::ToString(pair.via) + ")";

@@ -1,7 +1,9 @@
 #include "core/ddnf.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 namespace campion::core {
 namespace {
@@ -14,36 +16,78 @@ util::PrefixRange Normalize(const util::PrefixRange& r) {
   return util::PrefixRange(r.prefix(), low, high);
 }
 
+// A length window [low, high] of one base prefix.
+using Window = std::pair<int, int>;
+
+// Calls `fn(ancestor)` for every prefix in `bases` that is a strict
+// ancestor of `base`: the base truncated to each shorter length that some
+// base has (`lengths`, ascending), looked up by exact match.
+template <typename Map, typename Fn>
+void ForEachAncestor(const Map& bases, const std::set<int>& lengths,
+                     const util::IpPrefix& base, Fn&& fn) {
+  for (int length : lengths) {
+    if (length >= base.length()) break;
+    auto it = bases.find(
+        util::IpPrefix(base.family(), base.address().bits(), length));
+    if (it != bases.end()) fn(it->second);
+  }
+}
+
 }  // namespace
 
 PrefixRangeDag::PrefixRangeDag(std::vector<util::PrefixRange> ranges,
                                util::PrefixRange universe) {
   universe = Normalize(universe);
 
-  // Normalize against the universe and drop empties/duplicates.
-  std::set<util::PrefixRange> pool;
+  // Normalize against the universe, drop empties and the universe itself
+  // (it is the root), and group the surviving windows by base prefix.
+  std::map<util::IpPrefix, std::set<Window>> windows;
+  std::set<int> lengths;
   for (const auto& r : ranges) {
     auto clipped = Normalize(r).Intersect(universe);
-    if (clipped) pool.insert(*clipped);
+    if (!clipped || *clipped == universe) continue;
+    windows[clipped->prefix()].insert({clipped->low(), clipped->high()});
+    lengths.insert(clipped->prefix().length());
   }
-  pool.erase(universe);
 
-  // Close under intersection (a fixed point: intersecting two ranges can
-  // produce a window that intersects further ranges in new ways).
-  std::vector<util::PrefixRange> worklist(pool.begin(), pool.end());
-  while (!worklist.empty()) {
-    util::PrefixRange r = worklist.back();
-    worklist.pop_back();
-    std::vector<util::PrefixRange> fresh;
-    for (const auto& other : pool) {
-      auto meet = r.Intersect(other);
-      if (meet && !pool.contains(*meet) && *meet != universe) {
-        fresh.push_back(*meet);
+  // Close under intersection. Two ranges meet only when one base contains
+  // the other, and the meet sits at the longer base with the intersected
+  // window. So the closed windows at base b are the meets of b's own
+  // windows (pairwise meets suffice: an interval intersection is fixed by
+  // its max low and min high) with every closed window of b's strict
+  // ancestors, which together hold every meet of ancestor windows.
+  // Visiting bases shortest first makes each ancestor's set final before
+  // it is read; descendants never feed back into an ancestor.
+  std::vector<std::pair<const util::IpPrefix, std::set<Window>>*> by_length;
+  for (auto& entry : windows) by_length.push_back(&entry);
+  std::stable_sort(by_length.begin(), by_length.end(),
+                   [](const auto* a, const auto* b) {
+                     return a->first.length() < b->first.length();
+                   });
+  auto meet = [](const Window& a, const Window& b) {
+    return Window{std::max(a.first, b.first), std::min(a.second, b.second)};
+  };
+  for (auto* entry : by_length) {
+    const std::set<Window> own = entry->second;
+    std::set<Window>& closed = entry->second;
+    for (auto a = own.begin(); a != own.end(); ++a) {
+      for (auto b = std::next(a); b != own.end(); ++b) {
+        Window m = meet(*a, *b);
+        if (m.first <= m.second) closed.insert(m);
       }
     }
-    for (auto& m : fresh) {
-      pool.insert(m);
-      worklist.push_back(m);
+    std::set<Window> inherited;
+    ForEachAncestor(windows, lengths, entry->first,
+                    [&](const std::set<Window>& ancestor) {
+                      inherited.insert(ancestor.begin(), ancestor.end());
+                    });
+    if (inherited.empty()) continue;
+    const std::vector<Window> base_meets(closed.begin(), closed.end());
+    for (const Window& x : base_meets) {
+      for (const Window& y : inherited) {
+        Window m = meet(x, y);
+        if (m.first <= m.second) closed.insert(m);
+      }
     }
   }
 
@@ -51,7 +95,10 @@ PrefixRangeDag::PrefixRangeDag(std::vector<util::PrefixRange> ranges,
   // strict container of a range already exists when the range is inserted.
   // Containment implies base length is <= and the window is wider, so
   // sorting by (base length asc, window width desc) is a topological order.
-  std::vector<util::PrefixRange> ordered(pool.begin(), pool.end());
+  std::vector<util::PrefixRange> ordered;
+  for (const auto& [base, closed] : windows) {
+    for (const auto& [low, high] : closed) ordered.emplace_back(base, low, high);
+  }
   std::sort(ordered.begin(), ordered.end(),
             [](const util::PrefixRange& a, const util::PrefixRange& b) {
               if (a.prefix().length() != b.prefix().length()) {
@@ -63,25 +110,38 @@ PrefixRangeDag::PrefixRangeDag(std::vector<util::PrefixRange> ranges,
               return a < b;
             });
 
+  labels_.reserve(ordered.size() + 1);
   labels_.push_back(universe);
-  children_.emplace_back();
-  for (const auto& r : ordered) {
-    std::size_t node = labels_.size();
-    labels_.push_back(r);
-    children_.emplace_back();
-    // Immediate parents: strict containers with no other strict container
-    // of r strictly below them.
-    std::vector<std::size_t> containers;
-    for (std::size_t m = 0; m < node; ++m) {
-      if (labels_[m] != r && labels_[m].ContainsRange(r)) {
-        containers.push_back(m);
+  labels_.insert(labels_.end(), ordered.begin(), ordered.end());
+  children_.resize(labels_.size());
+  std::map<util::IpPrefix, std::vector<std::size_t>> nodes_at;
+  for (std::size_t node = 1; node < labels_.size(); ++node) {
+    nodes_at[labels_[node].prefix()].push_back(node);
+  }
+
+  // Immediate parents: strict containers with no other strict container of
+  // r strictly below them. Strict containers sit at r's base or one of its
+  // ancestors (the same truncation walk as the closure); the root contains
+  // everything and is a parent only when nothing else contains r.
+  std::vector<std::size_t> containers;
+  for (std::size_t node = 1; node < labels_.size(); ++node) {
+    const util::PrefixRange& r = labels_[node];
+    containers.clear();
+    auto collect = [&](const std::vector<std::size_t>& candidates) {
+      for (std::size_t m : candidates) {
+        if (m != node && labels_[m].ContainsRange(r)) containers.push_back(m);
       }
+    };
+    ForEachAncestor(nodes_at, lengths, r.prefix(), collect);
+    collect(nodes_at.find(r.prefix())->second);
+    if (containers.empty()) {
+      children_[root()].push_back(node);
+      continue;
     }
     for (std::size_t m : containers) {
       bool immediate = true;
       for (std::size_t k : containers) {
-        if (k != m && labels_[m] != labels_[k] &&
-            labels_[m].ContainsRange(labels_[k])) {
+        if (k != m && labels_[m].ContainsRange(labels_[k])) {
           immediate = false;
           break;
         }

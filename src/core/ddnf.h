@@ -11,6 +11,14 @@
 //      intersection.
 //   4. There is an edge (m, n) exactly when label(n) ⊊ label(m) with no
 //      intermediate node between them.
+//
+// Labels are in generality order (base length ascending, then window width
+// descending, then PrefixRange order), and each children list is ascending,
+// so the DAG is a pure function of the range set. The build never compares
+// unrelated ranges: two ranges meet or nest only when their base prefixes
+// do, so the intersection closure and the parent search both walk a base's
+// ancestors (its truncations to the shorter base lengths present) instead
+// of the whole pool.
 
 #include <cstddef>
 #include <vector>
@@ -23,10 +31,12 @@ class PrefixRangeDag {
  public:
   // Builds the DAG over `ranges`, with `universe` as the root (added if
   // missing) and the label set closed under intersection. Ranges are
-  // normalized (length window clamped to [base length, 32] and intersected
-  // with the universe) and de-duplicated; empty ranges are dropped.
-  PrefixRangeDag(std::vector<util::PrefixRange> ranges,
-                 util::PrefixRange universe = util::PrefixRange::Universe());
+  // normalized (length window clamped to [base length, family max] and
+  // intersected with the universe) and de-duplicated; empty ranges are
+  // dropped.
+  explicit PrefixRangeDag(
+      std::vector<util::PrefixRange> ranges,
+      util::PrefixRange universe = util::PrefixRange::Universe());
 
   std::size_t size() const { return labels_.size(); }
   std::size_t root() const { return 0; }

@@ -7,83 +7,129 @@
 #include "obs/trace.h"
 
 namespace campion::core {
-namespace {
 
 // GetMatch's intermediate result: a range minus nested terms.
-struct MatchTerm {
+struct HeaderLocalizer::MatchTerm {
   util::PrefixRange range;
   std::vector<MatchTerm> subtracted;
 };
 
-class Localizer {
- public:
-  Localizer(bdd::BddManager& mgr, const PrefixRangeDag& dag,
-            const RangeToBdd& range_to_bdd)
-      : mgr_(mgr), dag_(dag) {
-    node_bdds_.reserve(dag.size());
-    for (std::size_t n = 0; n < dag.size(); ++n) {
-      node_bdds_.push_back(range_to_bdd(dag.label(n)));
-    }
+namespace {
+constexpr bdd::BddRef kUncomputed = ~bdd::BddRef{0};
+}  // namespace
+
+PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
+                                util::PrefixRange universe) {
+  obs::ScopedSpan span("localize_dag");
+  span.AddAttr("ranges", static_cast<double>(ranges.size()));
+  PrefixRangeDag dag(std::move(ranges), universe);
+  span.AddAttr("dag_nodes", static_cast<double>(dag.size()));
+  obs::Count("localize.dag_builds");
+  return dag;
+}
+
+HeaderLocalizer::HeaderLocalizer(bdd::BddManager& mgr,
+                                 const PrefixRangeDag& dag,
+                                 RangeToBdd range_to_bdd)
+    : mgr_(mgr),
+      dag_(dag),
+      range_to_bdd_(std::move(range_to_bdd)),
+      node_bdds_(dag.size(), kUncomputed) {}
+
+HeaderLocalizeResult HeaderLocalizer::Localize(bdd::BddRef set) {
+  obs::ScopedSpan span("header_localize");
+  obs::Count("localize.calls");
+  // Work within the universe: S may be a complement reaching outside it.
+  bdd::BddRef clipped = mgr_.And(set, NodeBdd(dag_.root()));
+  HeaderLocalizeResult result;
+  if (clipped == bdd::kFalse) return result;
+  for (const auto& term : GetMatch(clipped, dag_.root())) {
+    FlattenInto(term, result.terms);
+  }
+  span.AddAttr("dag_nodes", static_cast<double>(dag_.size()));
+  span.AddAttr("terms", static_cast<double>(result.terms.size()));
+  obs::Count("localize.terms", static_cast<double>(result.terms.size()));
+  return result;
+}
+
+// The GetMatch recursion of §3.2.
+std::vector<HeaderLocalizer::MatchTerm> HeaderLocalizer::GetMatch(
+    bdd::BddRef set, std::size_t node) {
+  bdd::BddRef node_bdd = NodeBdd(node);
+  // Short-circuits (these also keep the output minimal): a node disjoint
+  // from S contributes nothing; a node fully inside S is itself a term.
+  if (!mgr_.Intersects(node_bdd, set)) return {};
+  if (mgr_.Subset(node_bdd, set)) return {{dag_.label(node), {}}};
+
+  if (dag_.IsLeaf(node)) {
+    // By construction (S built from the DAG's ranges) a leaf is contained
+    // in S or disjoint from it; both cases were handled above. If S used a
+    // range we were not given, fall back to reporting the overlap.
+    return {{dag_.label(node), {}}};
   }
 
-  // The GetMatch recursion of §3.2.
-  std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node) {
-    bdd::BddRef node_bdd = node_bdds_[node];
-    // Short-circuits (these also keep the output minimal): a node disjoint
-    // from S contributes nothing; a node fully inside S is itself a term.
-    if (!mgr_.Intersects(node_bdd, set)) return {};
-    if (mgr_.Subset(node_bdd, set)) return {{dag_.label(node), {}}};
-
-    if (dag_.IsLeaf(node)) {
-      // By construction (S built from the DAG's ranges) a leaf is contained
-      // in S or disjoint from it; both cases were handled above. If S used a
-      // range we were not given, fall back to reporting the overlap.
-      return {{dag_.label(node), {}}};
-    }
-
-    if (mgr_.Subset(Remainder(node), set)) {
-      // R's remainder is in S: include R, minus the child parts not in S.
-      MatchTerm term{dag_.label(node), {}};
-      for (std::size_t child : dag_.children(node)) {
-        auto nonmatches = GetMatch(mgr_.Not(set), child);
-        term.subtracted.insert(term.subtracted.end(), nonmatches.begin(),
-                               nonmatches.end());
-      }
-      return {std::move(term)};
-    }
-    // Otherwise recurse and union the children's results.
-    std::vector<MatchTerm> result;
+  if (RemainderInside(node, set)) {
+    // R's remainder is in S: include R, minus the child parts not in S.
+    MatchTerm term{dag_.label(node), {}};
     for (std::size_t child : dag_.children(node)) {
-      auto sub = GetMatch(set, child);
-      result.insert(result.end(), sub.begin(), sub.end());
+      auto nonmatches = GetMatch(mgr_.Not(set), child);
+      term.subtracted.insert(term.subtracted.end(), nonmatches.begin(),
+                             nonmatches.end());
     }
-    return result;
+    return {std::move(term)};
   }
+  // Otherwise recurse and union the children's results.
+  std::vector<MatchTerm> result;
+  for (std::size_t child : dag_.children(node)) {
+    auto sub = GetMatch(set, child);
+    result.insert(result.end(), sub.begin(), sub.end());
+  }
+  return result;
+}
 
- private:
-  // The remainder set of an internal node: its range minus its children.
-  bdd::BddRef Remainder(std::size_t node) {
-    constexpr bdd::BddRef kUncomputed = ~bdd::BddRef{0};
-    if (remainders_.empty()) remainders_.assign(dag_.size(), kUncomputed);
-    if (remainders_[node] != kUncomputed) return remainders_[node];
-    bdd::BddRef rem = node_bdds_[node];
-    for (std::size_t child : dag_.children(node)) {
-      rem = mgr_.Diff(rem, node_bdds_[child]);
+bdd::BddRef HeaderLocalizer::NodeBdd(std::size_t node) {
+  if (node_bdds_[node] == kUncomputed) {
+    node_bdds_[node] = range_to_bdd_(dag_.label(node));
+  }
+  return node_bdds_[node];
+}
+
+// Whether the remainder of `node` (its range minus its children) lies in S,
+// decided without building the remainder: the children must cover node ∖ S.
+// One path of node ∖ S that meets no child lies in the remainder and
+// outside S, which refutes this at once; that is the usual answer at the
+// root when S is small. Otherwise the children are subtracted from node ∖ S
+// until nothing is left, which is cheap when S covers most of the node.
+bool HeaderLocalizer::RemainderInside(std::size_t node, bdd::BddRef set) {
+  bdd::BddRef outside = mgr_.Diff(NodeBdd(node), set);
+  bdd::BddRef path = bdd::kTrue;
+  for (bdd::BddRef f = outside; f != bdd::kTrue;) {
+    bdd::BddRef var = mgr_.VarTrue(mgr_.NodeVar(f));
+    if (mgr_.NodeLow(f) != bdd::kFalse) {
+      path = mgr_.And(path, mgr_.Not(var));
+      f = mgr_.NodeLow(f);
+    } else {
+      path = mgr_.And(path, var);
+      f = mgr_.NodeHigh(f);
     }
-    remainders_[node] = rem;
-    return rem;
   }
-
-  bdd::BddManager& mgr_;
-  const PrefixRangeDag& dag_;
-  std::vector<bdd::BddRef> node_bdds_;
-  std::vector<bdd::BddRef> remainders_;
-};
+  const std::vector<std::size_t>& children = dag_.children(node);
+  if (std::none_of(children.begin(), children.end(), [&](std::size_t child) {
+        return mgr_.Intersects(path, NodeBdd(child));
+      })) {
+    return false;
+  }
+  for (std::size_t child : children) {
+    outside = mgr_.Diff(outside, NodeBdd(child));
+    if (outside == bdd::kFalse) return true;
+  }
+  return false;
+}
 
 // Removes nested differences: R − (X − Y) becomes {R − X, Y} (Y ⊆ X ⊆ R and
 // Y ⊆ S make this sound). One pass over the term tree, as in the paper.
-void FlattenInto(const MatchTerm& term,
-                 std::vector<util::PrefixRangeTerm>& out) {
+void HeaderLocalizer::FlattenInto(const MatchTerm& term,
+                                  std::vector<util::PrefixRangeTerm>& out) {
   util::PrefixRangeTerm flat{term.range, {}};
   for (const auto& sub : term.subtracted) {
     flat.exclude.push_back(sub.range);
@@ -96,8 +142,6 @@ void FlattenInto(const MatchTerm& term,
     }
   }
 }
-
-}  // namespace
 
 std::vector<util::PrefixRange> HeaderLocalizeResult::IncludedRanges() const {
   std::set<util::PrefixRange> seen;
@@ -132,22 +176,8 @@ HeaderLocalizeResult HeaderLocalize(bdd::BddManager& mgr, bdd::BddRef set,
                                     std::vector<util::PrefixRange> ranges,
                                     const RangeToBdd& range_to_bdd,
                                     util::PrefixRange universe) {
-  obs::ScopedSpan span("header_localize");
-  span.AddAttr("ranges", static_cast<double>(ranges.size()));
-  PrefixRangeDag dag(std::move(ranges), universe);
-  Localizer localizer(mgr, dag, range_to_bdd);
-  // Work within the universe: S may be a complement reaching outside it.
-  bdd::BddRef clipped = mgr.And(set, range_to_bdd(dag.label(dag.root())));
-  HeaderLocalizeResult result;
-  obs::Count("localize.calls");
-  if (clipped == bdd::kFalse) return result;
-  for (const auto& term : localizer.GetMatch(clipped, dag.root())) {
-    FlattenInto(term, result.terms);
-  }
-  span.AddAttr("dag_nodes", static_cast<double>(dag.size()));
-  span.AddAttr("terms", static_cast<double>(result.terms.size()));
-  obs::Count("localize.terms", static_cast<double>(result.terms.size()));
-  return result;
+  PrefixRangeDag dag = BuildLocalizeDag(std::move(ranges), universe);
+  return HeaderLocalizer(mgr, dag, range_to_bdd).Localize(set);
 }
 
 }  // namespace campion::core

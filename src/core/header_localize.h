@@ -41,10 +41,45 @@ struct HeaderLocalizeResult {
   std::string ToString() const;
 };
 
-// `set` must be a predicate over the prefix encoding only (project other
-// variables out first); `ranges` must include every range constant used to
-// build it. `universe` is the root range (the whole advertisement space for
-// route maps; the all-/32s space for ACL destination addresses).
+// Builds the DAG that localizations share: one per comparison and address
+// family for route maps, one per address field and pair for ACLs. Recorded
+// as a `localize_dag` span and counted in `localize.dag_builds`.
+PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
+                                util::PrefixRange universe);
+
+// Localizes sets over one DAG in one manager. Each node's BDD is encoded on
+// first use and reused by every later Localize call, so a pair presenting
+// several differences encodes each node at most once. The manager and the
+// DAG must outlive the localizer. The held refs stay valid because pair
+// managers only auto-sift in pin-all mode, which keeps every node
+// (bdd/bdd.h, SetAutoSift).
+class HeaderLocalizer {
+ public:
+  HeaderLocalizer(bdd::BddManager& mgr, const PrefixRangeDag& dag,
+                  RangeToBdd range_to_bdd);
+
+  // `set` must be a predicate over the prefix encoding only (project other
+  // variables out first) and built from the DAG's ranges.
+  HeaderLocalizeResult Localize(bdd::BddRef set);
+
+ private:
+  struct MatchTerm;
+  std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node);
+  static void FlattenInto(const MatchTerm& term,
+                          std::vector<util::PrefixRangeTerm>& out);
+  bdd::BddRef NodeBdd(std::size_t node);
+  bool RemainderInside(std::size_t node, bdd::BddRef set);
+
+  bdd::BddManager& mgr_;
+  const PrefixRangeDag& dag_;
+  RangeToBdd range_to_bdd_;
+  std::vector<bdd::BddRef> node_bdds_;
+};
+
+// One-shot localization that builds its own DAG. `ranges` must include
+// every range constant used to build `set`. `universe` is the root range
+// (the whole advertisement space for route maps; the all-/32s space for
+// ACL destination addresses).
 HeaderLocalizeResult HeaderLocalize(
     bdd::BddManager& mgr, bdd::BddRef set,
     std::vector<util::PrefixRange> ranges, const RangeToBdd& range_to_bdd,

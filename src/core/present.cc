@@ -37,6 +37,15 @@ std::vector<util::PrefixRange> AclRanges(const ir::Acl& acl, bool dst) {
   return ranges;
 }
 
+// The ranges both ACLs of a pair mention in one address field.
+std::vector<util::PrefixRange> AclPairRanges(const ir::Acl& acl1,
+                                             const ir::Acl& acl2, bool dst) {
+  std::vector<util::PrefixRange> ranges = AclRanges(acl1, dst);
+  auto more = AclRanges(acl2, dst);
+  ranges.insert(ranges.end(), more.begin(), more.end());
+  return ranges;
+}
+
 }  // namespace
 
 std::vector<util::PrefixRange> AclDstRanges(const ir::Acl& acl) {
@@ -47,30 +56,67 @@ std::vector<util::PrefixRange> AclSrcRanges(const ir::Acl& acl) {
   return AclRanges(acl, /*dst=*/false);
 }
 
+PrefixRangeDag RouteMapRangeDag(const ir::RouterConfig& config1,
+                                const ir::RouterConfig& config2,
+                                util::AddressFamily family) {
+  std::vector<util::PrefixRange> ranges = config1.AllPrefixRanges();
+  auto ranges2 = config2.AllPrefixRanges();
+  ranges.insert(ranges.end(), ranges2.begin(), ranges2.end());
+  // Range constants of the other family match nothing on this layout.
+  std::erase_if(ranges, [&](const util::PrefixRange& r) {
+    return r.family() != family;
+  });
+  return BuildLocalizeDag(std::move(ranges),
+                          util::PrefixRange::UniverseOf(family));
+}
+
+HeaderLocalizer RouteMapLocalizer(encode::RouteAdvLayout& layout,
+                                  const PrefixRangeDag& dag) {
+  return HeaderLocalizer(
+      layout.manager(), dag,
+      [&layout](const util::PrefixRange& r) {
+        return layout.MatchPrefixRange(r);
+      });
+}
+
+AclLocalizers::AclLocalizers(encode::PacketLayout& layout, const ir::Acl& acl1,
+                             const ir::Acl& acl2)
+    : dst_dag_(BuildLocalizeDag(AclPairRanges(acl1, acl2, /*dst=*/true),
+                                AddressUniverse(layout.family()))),
+      src_dag_(BuildLocalizeDag(AclPairRanges(acl1, acl2, /*dst=*/false),
+                                AddressUniverse(layout.family()))),
+      dst_(layout.manager(), dst_dag_,
+           [&layout](const util::PrefixRange& r) {
+             return layout.MatchDstPrefix(r.prefix());
+           }),
+      src_(layout.manager(), src_dag_,
+           [&layout](const util::PrefixRange& r) {
+             return layout.MatchSrcPrefix(r.prefix());
+           }) {}
+
 PresentedDifference PresentRouteMapDifference(
     encode::RouteAdvLayout& layout, const RouteMapDifference& diff,
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
     const std::string& policy1, const std::string& policy2) {
+  PrefixRangeDag dag = RouteMapRangeDag(config1, config2, layout.family());
+  HeaderLocalizer localizer = RouteMapLocalizer(layout, dag);
+  return PresentRouteMapDifference(layout, localizer, diff, config1, config2,
+                                   policy1, policy2);
+}
+
+PresentedDifference PresentRouteMapDifference(
+    encode::RouteAdvLayout& layout, HeaderLocalizer& localizer,
+    const RouteMapDifference& diff, const ir::RouterConfig& config1,
+    const ir::RouterConfig& config2, const std::string& policy1,
+    const std::string& policy2) {
   bdd::BddManager& mgr = layout.manager();
   PresentedDifference out;
 
   // Header localization over the advertised prefix: project the input set
   // onto the prefix variables and express it over the configurations'
   // prefix-range constants.
-  bdd::BddRef prefix_set = mgr.Exists(diff.input_set,
-                                      layout.NonPrefixVarMask());
-  std::vector<util::PrefixRange> ranges = config1.AllPrefixRanges();
-  auto ranges2 = config2.AllPrefixRanges();
-  ranges.insert(ranges.end(), ranges2.begin(), ranges2.end());
-  // Range constants of the other family match nothing on this layout; the
-  // DAG drops them (they have no intersection with the universe).
-  std::erase_if(ranges, [&](const util::PrefixRange& r) {
-    return r.family() != layout.family();
-  });
-  HeaderLocalizeResult localized = HeaderLocalize(
-      mgr, prefix_set, std::move(ranges),
-      [&](const util::PrefixRange& r) { return layout.MatchPrefixRange(r); },
-      util::PrefixRange::UniverseOf(layout.family()));
+  HeaderLocalizeResult localized = localizer.Localize(
+      mgr.Exists(diff.input_set, layout.NonPrefixVarMask()));
   out.included = localized.IncludedRanges();
   out.excluded = localized.ExcludedRanges();
 
@@ -128,38 +174,34 @@ PresentedDifference PresentAclDifference(encode::PacketLayout& layout,
                                          const ir::Acl& acl2,
                                          const ir::RouterConfig& config1,
                                          const ir::RouterConfig& config2) {
+  AclLocalizers localizers(layout, acl1, acl2);
+  return PresentAclDifference(layout, localizers, diff, acl1, acl2, config1,
+                              config2);
+}
+
+PresentedDifference PresentAclDifference(encode::PacketLayout& layout,
+                                         AclLocalizers& localizers,
+                                         const AclDifference& diff,
+                                         const ir::Acl& acl1,
+                                         const ir::Acl& acl2,
+                                         const ir::RouterConfig& config1,
+                                         const ir::RouterConfig& config2) {
   bdd::BddManager& mgr = layout.manager();
   PresentedDifference out;
 
-  auto localize = [&](const std::vector<bool>& keep_mask,
-                      std::vector<util::PrefixRange> ranges,
-                      auto range_to_bdd) {
+  // Localize each address field on the input set projected onto it.
+  auto localize = [&](HeaderLocalizer& localizer,
+                      const std::vector<bool>& keep_mask) {
     std::vector<bool> quantified = keep_mask;
     quantified.flip();
-    bdd::BddRef projected = mgr.Exists(diff.input_set, quantified);
-    return HeaderLocalize(mgr, projected, std::move(ranges), range_to_bdd,
-                          AddressUniverse(layout.family()));
+    return localizer.Localize(mgr.Exists(diff.input_set, quantified));
   };
-
-  std::vector<util::PrefixRange> dst_ranges = AclDstRanges(acl1);
-  auto dst2 = AclDstRanges(acl2);
-  dst_ranges.insert(dst_ranges.end(), dst2.begin(), dst2.end());
-  HeaderLocalizeResult dst = localize(
-      layout.DstIpVarMask(), std::move(dst_ranges),
-      [&](const util::PrefixRange& r) {
-        return layout.MatchDstPrefix(r.prefix());
-      });
+  HeaderLocalizeResult dst =
+      localize(localizers.dst(), layout.DstIpVarMask());
   out.included = dst.IncludedRanges();
   out.excluded = dst.ExcludedRanges();
-
-  std::vector<util::PrefixRange> src_ranges = AclSrcRanges(acl1);
-  auto src2 = AclSrcRanges(acl2);
-  src_ranges.insert(src_ranges.end(), src2.begin(), src2.end());
-  HeaderLocalizeResult src = localize(
-      layout.SrcIpVarMask(), std::move(src_ranges),
-      [&](const util::PrefixRange& r) {
-        return layout.MatchSrcPrefix(r.prefix());
-      });
+  HeaderLocalizeResult src =
+      localize(localizers.src(), layout.SrcIpVarMask());
   out.src_included = src.IncludedRanges();
   out.src_excluded = src.ExcludedRanges();
 

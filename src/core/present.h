@@ -44,11 +44,63 @@ struct PresentedDifference {
   std::string location1, location2;
 };
 
+// The DAG route-map differences of `family` are localized over: every
+// prefix range of both configurations in that family. ConfigDiff builds it
+// once per comparison and shares it read-only with every pair.
+PrefixRangeDag RouteMapRangeDag(const ir::RouterConfig& config1,
+                                const ir::RouterConfig& config2,
+                                util::AddressFamily family);
+
+// A localizer for one route-map pair: `dag` must be the RouteMapRangeDag of
+// the layout's family. It lives as long as the pair's manager, so node BDDs
+// are encoded once per pair, not once per difference.
+HeaderLocalizer RouteMapLocalizer(encode::RouteAdvLayout& layout,
+                                  const PrefixRangeDag& dag);
+
+PresentedDifference PresentRouteMapDifference(
+    encode::RouteAdvLayout& layout, HeaderLocalizer& localizer,
+    const RouteMapDifference& diff, const ir::RouterConfig& config1,
+    const ir::RouterConfig& config2, const std::string& policy1,
+    const std::string& policy2);
+
+// Presents one difference on its own: builds the RouteMapRangeDag and a
+// localizer for this call only.
 PresentedDifference PresentRouteMapDifference(
     encode::RouteAdvLayout& layout, const RouteMapDifference& diff,
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
     const std::string& policy1, const std::string& policy2);
 
+// The destination- and source-address localizers of one ACL pair. Both
+// DAGs are built on construction, over the prefixes both ACLs mention, so
+// a pair builds them once and reuses them (and their node BDDs) for every
+// difference it presents.
+class AclLocalizers {
+ public:
+  AclLocalizers(encode::PacketLayout& layout, const ir::Acl& acl1,
+                const ir::Acl& acl2);
+  AclLocalizers(const AclLocalizers&) = delete;
+  AclLocalizers& operator=(const AclLocalizers&) = delete;
+
+  HeaderLocalizer& dst() { return dst_; }
+  HeaderLocalizer& src() { return src_; }
+
+ private:
+  PrefixRangeDag dst_dag_;
+  PrefixRangeDag src_dag_;
+  HeaderLocalizer dst_;
+  HeaderLocalizer src_;
+};
+
+PresentedDifference PresentAclDifference(encode::PacketLayout& layout,
+                                         AclLocalizers& localizers,
+                                         const AclDifference& diff,
+                                         const ir::Acl& acl1,
+                                         const ir::Acl& acl2,
+                                         const ir::RouterConfig& config1,
+                                         const ir::RouterConfig& config2);
+
+// Presents one difference on its own: builds AclLocalizers for this call
+// only.
 PresentedDifference PresentAclDifference(encode::PacketLayout& layout,
                                          const AclDifference& diff,
                                          const ir::Acl& acl1,

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
+#include "frontend/loader.h"
+#include "gen/acl_gen.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tests/testdata.h"
 
 namespace campion::core {
@@ -161,6 +169,72 @@ TEST_F(ConfigDiffTest, RedistributionPoliciesDiffed) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The counters one run of `diff` records, captured in a private sink with
+// tracing on.
+template <typename Fn>
+std::map<std::string, double> CountersOf(Fn&& diff) {
+  obs::MetricsSink sink;
+  {
+    obs::MetricsScope scope(sink);
+    obs::SetEnabled(true);
+    diff();
+    obs::SetEnabled(false);
+  }
+  obs::ResetThreadTrace();
+  std::map<std::string, double> counters;
+  for (const obs::MetricSample& sample : sink.Snapshot()) {
+    counters[sample.name] = sample.value;
+  }
+  return counters;
+}
+
+// University core: three route-map pairs localize six differences over one
+// DAG, built before the fan-out at any thread count. Its ACL pair has no
+// differences, so it builds none.
+TEST(LocalizeOncePerComparisonTest, UniversityCoreBuildsOneDag) {
+  ir::RouterConfig cisco =
+      frontend::LoadConfigFile(CAMPION_EXAMPLES_DIR
+                               "/university_core_cisco.cfg")
+          .config;
+  ir::RouterConfig juniper =
+      frontend::LoadConfigFile(CAMPION_EXAMPLES_DIR
+                               "/university_core_juniper.conf")
+          .config;
+  for (unsigned threads : {1u, 4u}) {
+    DiffOptions options;
+    options.num_threads = threads;
+    auto counters = CountersOf([&] { ConfigDiff(cisco, juniper, options); });
+    EXPECT_EQ(counters["localize.dag_builds"], 1.0) << threads << " threads";
+    EXPECT_EQ(counters["localize.calls"], 6.0) << threads << " threads";
+  }
+}
+
+// An ACL pair builds its destination and source DAGs once, before its
+// differences are presented, however many differences there are.
+TEST(LocalizeOncePerComparisonTest, AclPairBuildsTwoDags) {
+  std::size_t most = 0;
+  for (int differences : {1, 3, 8}) {
+    gen::AclGenOptions options;
+    options.rules = 60;
+    options.differences = differences;
+    options.seed = 7;
+    gen::GeneratedAclPair pair = gen::GenerateAclPair(options);
+    ir::RouterConfig c1 =
+        gen::WrapAclInConfig(pair.acl1, "r1", ir::Vendor::kCisco);
+    ir::RouterConfig c2 =
+        gen::WrapAclInConfig(pair.acl2, "r2", ir::Vendor::kJuniper);
+    std::size_t presented = 0;
+    auto counters = CountersOf(
+        [&] { presented = DiffAclPair(c1, c2, options.name).size(); });
+    ASSERT_GT(presented, 0u) << differences << " injected";
+    EXPECT_EQ(counters["localize.dag_builds"], 2.0)
+        << presented << " differences";
+    EXPECT_EQ(counters["localize.calls"], 2.0 * static_cast<double>(presented));
+    most = std::max(most, presented);
+  }
+  EXPECT_GT(most, 2u);  // Several differences share the two DAGs.
 }
 
 }  // namespace

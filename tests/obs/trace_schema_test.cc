@@ -294,7 +294,8 @@ TEST_F(TraceSchemaTest, DocumentMatchesDocumentedSchema) {
   // The documented pipeline phases all appear for the Fig.1 pair.
   for (const char* required :
        {"parse", "config_diff", "match_policies", "route_map_pair", "encode",
-        "class_intersect", "header_localize", "structural"}) {
+        "class_intersect", "localize_dag", "header_localize",
+        "structural"}) {
     EXPECT_TRUE(names.count(required)) << "missing span name: " << required;
   }
 
